@@ -16,6 +16,19 @@
 //!    coalition utilities whose subsets touch a changed row, so importance
 //!    estimators never serve a stale score.
 //!
+//! Each [`DeltaPath`] maps to one kind of downstream work:
+//!
+//! - **Cell patch**: rows stay in place; the patched rows are re-encoded,
+//!   and the evaluator takes their label and feature changes.
+//! - **Splice** (an inserted or deleted source row): the pipeline's
+//!   monotone row map says where every old output row went. Surviving
+//!   encoded rows move through the map, only the inserted rows are
+//!   encoded, and the evaluator follows the same map
+//!   ([`IncrementalLabelEval::splice`]). The memo cache names rows by
+//!   index, so it is emptied.
+//! - **Rerun**: row identity is lost, so the whole output is re-encoded and
+//!   the evaluator rebuilt — the only full re-encode.
+//!
 //! Every layer is differentially guaranteed: after any sequence of fixes
 //! the session's table, dataset and accuracy are bit-identical to
 //! re-executing the plan over the mutated sources and re-encoding with the
@@ -26,6 +39,7 @@ use crate::{CleaningError, Result};
 use nde_data::Table;
 use nde_ml::batch::IncrementalLabelEval;
 use nde_ml::dataset::Dataset;
+use nde_ml::linalg::Matrix;
 use nde_ml::model::Classifier;
 use nde_pipeline::exec::Executor;
 use nde_pipeline::feature::FeaturePipeline;
@@ -37,11 +51,12 @@ use nde_robust::par::MemoCache;
 pub struct FixReport {
     /// The propagation path the pipeline layer took.
     pub path: DeltaPath,
-    /// Output rows whose encoded content changed (ascending). After a
-    /// structural fix (insert/delete/rerun) this lists every current row.
+    /// Output rows that were re-encoded (ascending): the patched rows of
+    /// a cell patch, the inserted rows of a splice, and every current row
+    /// only on a rerun.
     pub affected_rows: Vec<usize>,
-    /// `true` when row identity changed and the whole dataset was
-    /// re-encoded (splice or rerun); `false` for an in-place cell patch.
+    /// `true` only on a rerun, when row identity was lost and the whole
+    /// dataset was re-encoded; `false` for a cell patch or a splice.
     pub reencoded_all: bool,
     /// Memoized coalition utilities evicted by this fix.
     pub cache_evictions: usize,
@@ -97,33 +112,28 @@ impl<C: Classifier> IncrementalDebugSession<C> {
 
     /// Apply one accepted fix end to end and return what it touched.
     ///
-    /// A non-structural cell fix re-encodes only the affected output rows
-    /// and patches the evaluator; a structural fix (insert/delete, or a
-    /// routing change that forced a rerun) re-encodes the whole dataset —
-    /// row identity moved, so every downstream index is stale.
+    /// A cell fix re-encodes only the affected output rows and patches the
+    /// evaluator; a splice moves the surviving encoded rows through the
+    /// pipeline's row map and encodes only the inserted ones; a rerun (row
+    /// identity lost) re-encodes the whole dataset.
     pub fn apply_fix(&mut self, delta: &Delta) -> Result<FixReport> {
         let outcome = self.session.apply(delta)?;
         self.fixes_applied += 1;
-        if outcome.path == DeltaPath::CellPatch {
-            let rows = outcome.affected_rows;
-            let evictions = self.patch_rows(&rows)?;
-            return Ok(FixReport {
-                path: outcome.path,
-                affected_rows: rows,
-                reencoded_all: false,
-                cache_evictions: evictions,
-                accuracy: self.accuracy()?,
-            });
-        }
-        // Splice / rerun: rebuild the encoded state from the maintained
-        // table. The subset fingerprints keyed into the memo cache name
-        // rows by index, and those indices just moved — drop everything.
-        let evictions = self.memo.len();
-        self.rebuild()?;
+        let rows = outcome.affected_rows;
+        let evictions = match (outcome.path, outcome.row_map) {
+            (DeltaPath::CellPatch, _) => self.patch_rows(&rows)?,
+            (DeltaPath::Splice, Some(map)) => self.splice_rows(&map, &rows)?,
+            (DeltaPath::Splice, None) => {
+                return Err(CleaningError::InvalidArgument(
+                    "splice outcome carries no row map".into(),
+                ))
+            }
+            (DeltaPath::Rerun, _) => self.rebuild()?,
+        };
         Ok(FixReport {
             path: outcome.path,
-            affected_rows: (0..self.dataset.len()).collect(),
-            reencoded_all: true,
+            affected_rows: rows,
+            reencoded_all: outcome.path == DeltaPath::Rerun,
             cache_evictions: evictions,
             accuracy: self.accuracy()?,
         })
@@ -164,9 +174,48 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         Ok(self.memo.invalidate_members(rows))
     }
 
-    /// Full re-encode after a structural fix: fresh dataset, fresh
-    /// evaluator, empty cache.
-    fn rebuild(&mut self) -> Result<()> {
+    /// Follow a splice: move the surviving encoded rows through `row_map`
+    /// (old output row → new, `None` = gone), encode only the `inserted`
+    /// rows, and splice the evaluator the same way. Surviving rows keep
+    /// their content (the pipeline's splice is value-preserving), so the
+    /// result is bit-identical to a full re-encode. The memo cache names
+    /// rows by index, which just moved — it is emptied.
+    fn splice_rows(&mut self, row_map: &[Option<usize>], inserted: &[usize]) -> Result<usize> {
+        let table = self.session.table();
+        let n = table.n_rows();
+        if n == 0 {
+            return Err(CleaningError::InvalidArgument(
+                "fix removed every training row".into(),
+            ));
+        }
+        self.rows_reencoded += inserted.len();
+        let mut x = Matrix::zeros(n, self.dataset.dim());
+        let mut y = vec![0; n];
+        for (old, &new) in row_map.iter().enumerate() {
+            if let Some(new) = new {
+                x.row_mut(new).copy_from_slice(self.dataset.x.row(old));
+                y[new] = self.dataset.y[old];
+            }
+        }
+        if !inserted.is_empty() {
+            let (fresh_x, fresh_y) = self.pipeline.encode_rows(table, inserted)?;
+            for (j, &r) in inserted.iter().enumerate() {
+                x.row_mut(r).copy_from_slice(fresh_x.row(j));
+                y[r] = fresh_y[j];
+            }
+        }
+        self.dataset = Dataset::new(x, y, self.dataset.n_classes)?;
+        if let Some(hook) = self.evaluator.as_mut() {
+            hook.splice(row_map, &self.dataset)?;
+        }
+        let evictions = self.memo.len();
+        self.memo = MemoCache::new();
+        Ok(evictions)
+    }
+
+    /// Full re-encode after a rerun: fresh dataset, fresh evaluator, empty
+    /// cache. Returns the number of evicted cache entries.
+    fn rebuild(&mut self) -> Result<usize> {
         self.full_reencodes += 1;
         let table = self.session.table();
         if table.n_rows() == 0 {
@@ -180,8 +229,9 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         let n_classes = self.pipeline.label_encoder()?.n_classes();
         self.dataset = Dataset::new(x, y, n_classes)?;
         self.evaluator = self.template.incremental_eval(&self.dataset, &self.valid);
+        let evictions = self.memo.len();
         self.memo = MemoCache::new();
-        Ok(())
+        Ok(evictions)
     }
 
     /// Current validation accuracy — from the incremental evaluator when
@@ -357,14 +407,18 @@ mod tests {
         assert_eq!(report.accuracy.to_bits(), want.to_bits());
         assert_dataset_bits_eq(session.dataset(), &want_ds);
 
-        // A structural fix: delete a letter outright.
+        // A structural fix: delete a letter outright. The splice remaps
+        // the surviving rows and re-encodes nothing.
+        let (_, _, rows_before) = session.stats();
         let report = session
             .apply_fix(&Delta::Delete {
                 source: "train_df".into(),
                 row: 5,
             })
             .unwrap();
-        assert!(report.reencoded_all);
+        assert_eq!(report.path, DeltaPath::Splice);
+        assert!(!report.reencoded_all);
+        assert!(report.affected_rows.is_empty());
         s.letters = s
             .letters
             .take(
@@ -378,8 +432,41 @@ mod tests {
         assert_dataset_bits_eq(session.dataset(), &want_ds);
         let (fixes, full, rows) = session.stats();
         assert_eq!(fixes, 2);
-        assert_eq!(full, 1);
-        assert!(rows >= session.dataset().len());
+        assert_eq!(full, 0, "a splice is not a full re-encode");
+        assert_eq!(rows, rows_before);
+
+        // Insert a copy of a letter that reaches the output exactly once:
+        // the splice encodes that one inserted row and nothing else.
+        let table = session.table();
+        let pids: Vec<Value> = (0..table.n_rows())
+            .map(|r| table.get(r, "person_id").unwrap())
+            .collect();
+        let pid = pids
+            .iter()
+            .find(|p| pids.iter().filter(|q| q == p).count() == 1)
+            .unwrap()
+            .clone();
+        let src_row = (0..s.letters.n_rows())
+            .find(|&r| s.letters.get(r, "person_id").unwrap() == pid)
+            .unwrap();
+        let values = s.letters.row(src_row).unwrap();
+        let report = session
+            .apply_fix(&Delta::Insert {
+                source: "train_df".into(),
+                values: values.clone(),
+            })
+            .unwrap();
+        assert_eq!(report.path, DeltaPath::Splice);
+        assert!(!report.reencoded_all);
+        assert_eq!(report.affected_rows.len(), 1);
+        s.letters.push_row(values).unwrap();
+        let (want, want_ds) = fresh_accuracy(&knn, &truth, &inputs(&s), &valid);
+        assert_eq!(report.accuracy.to_bits(), want.to_bits());
+        assert_dataset_bits_eq(session.dataset(), &want_ds);
+        let (fixes, full, rows) = session.stats();
+        assert_eq!(fixes, 3);
+        assert_eq!(full, 0);
+        assert_eq!(rows, rows_before + 1, "exactly one row re-encoded");
     }
 
     #[test]

@@ -42,7 +42,9 @@
 //!
 //! Worker panics never poison the pool: the resident threads survive, and
 //! the pool remains usable for subsequent jobs. Dropping a pool joins all
-//! worker threads (no leaks).
+//! worker threads (no leaks); [`WorkerPool::live_workers`] counts the
+//! pool's own live threads, so a leak is observable without reading
+//! process-wide thread counts.
 
 use crate::par::{effective_threads, panic_message, CostHint, WorkerFailure};
 use std::cell::Cell;
@@ -136,6 +138,40 @@ pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
+    live: Arc<AtomicUsize>,
+}
+
+/// A pool's count of live worker threads. A worker counts from the moment
+/// it is spawned until its thread exits, so the count equals
+/// [`WorkerPool::workers`] while the pool lives and is 0 once dropping the
+/// pool has joined every worker. The handle outlives the pool.
+#[derive(Debug, Clone)]
+pub struct LiveWorkers(Arc<AtomicUsize>);
+
+impl LiveWorkers {
+    /// Worker threads of the pool that have not exited yet.
+    pub fn count(&self) -> usize {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+/// Holds one unit of a pool's live-worker count; moved into the worker
+/// thread, it is released when the thread's closure ends (or unwinds).
+struct LiveGuard(Arc<AtomicUsize>);
+
+impl LiveGuard {
+    fn new(live: &Arc<AtomicUsize>) -> LiveGuard {
+        live.fetch_add(1, Ordering::Relaxed);
+        LiveGuard(Arc::clone(live))
+    }
+}
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        // Release pairs with the Acquire in `LiveWorkers::count`: reading
+        // 0 there means every worker's exit happened before the read.
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 fn worker_loop(shared: Arc<PoolShared>) {
@@ -202,12 +238,17 @@ impl WorkerPool {
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
         });
+        let live = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
+                let guard = LiveGuard::new(&live);
                 std::thread::Builder::new()
                     .name("nde-pool".into())
-                    .spawn(move || worker_loop(shared))
+                    .spawn(move || {
+                        let _guard = guard;
+                        worker_loop(shared)
+                    })
                     .expect("spawn pool worker thread")
             })
             .collect();
@@ -215,6 +256,7 @@ impl WorkerPool {
             shared,
             handles,
             workers,
+            live,
         }
     }
 
@@ -227,6 +269,11 @@ impl WorkerPool {
     /// Number of resident worker threads.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// A handle on this pool's live-worker count (see [`LiveWorkers`]).
+    pub fn live_workers(&self) -> LiveWorkers {
+        LiveWorkers(Arc::clone(&self.live))
     }
 
     /// Snapshot of the activity counters.
@@ -645,9 +692,12 @@ mod tests {
         // hang here fails the test harness timeout; completing proves the
         // shutdown handshake works even right after activity).
         let pool = WorkerPool::new(4);
+        let live = pool.live_workers();
+        assert_eq!(live.count(), 4);
         let stop = AtomicBool::new(false);
         pool.map_indexed::<u64, (), _>(4, 0..200, &stop, CostHint::Unknown, Ok)
             .unwrap();
         drop(pool);
+        assert_eq!(live.count(), 0);
     }
 }

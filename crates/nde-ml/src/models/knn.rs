@@ -8,6 +8,7 @@ use crate::dataset::Dataset;
 use crate::linalg::squared_distance;
 use crate::model::Classifier;
 use crate::{MlError, Result};
+use std::cmp::Ordering;
 
 /// A K-nearest-neighbors classifier with Euclidean distance and majority
 /// voting (ties broken toward the smaller class id).
@@ -40,20 +41,40 @@ impl KnnClassifier {
     /// Distance ties are broken by index for determinism.
     pub fn neighbors(&self, x: &[f64]) -> Vec<usize> {
         let train = self.train.as_ref().expect("model must be fitted");
-        let mut dists: Vec<(f64, usize)> = train
+        let dists: Vec<f64> = train
             .x
             .iter_rows()
-            .enumerate()
-            .map(|(i, r)| (squared_distance(r, x), i))
+            .map(|r| squared_distance(r, x))
             .collect();
-        let k = self.k.min(dists.len());
-        dists.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite distances")
-                .then(a.1.cmp(&b.1))
-        });
-        dists.into_iter().take(k).map(|(_, i)| i).collect()
+        nearest(&dists, self.k)
     }
+}
+
+/// The neighbor order every KNN path shares: ascending distance, ties
+/// toward the smaller index. On finite distances it is a total order, so
+/// a top-k set and its order are unique however they are selected.
+pub(crate) fn closer(dists: &[f64], a: usize, b: usize) -> Ordering {
+    dists[a]
+        .partial_cmp(&dists[b])
+        .expect("finite distances")
+        .then(a.cmp(&b))
+}
+
+/// Indices of the `k` smallest entries of `dists` under [`closer`],
+/// closest first: a linear-time selection, then a sort of the k-prefix
+/// only.
+pub(crate) fn nearest(dists: &[f64], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..dists.len()).collect();
+    let k = k.min(idx.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k - 1, |&a, &b| closer(dists, a, b));
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(|&a, &b| closer(dists, a, b));
+    idx
 }
 
 impl Classifier for KnnClassifier {

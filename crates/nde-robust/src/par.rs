@@ -34,7 +34,7 @@ pub use nde_data::par::{
     subset_fingerprint_sorted, tree_reduce, CostHint, MemoCache, WorkerFailure,
     SEQUENTIAL_CUTOFF_NANOS,
 };
-pub use nde_data::pool::{PoolStats, WorkerPool};
+pub use nde_data::pool::{LiveWorkers, PoolStats, WorkerPool};
 
 use crate::budget::{Exhaustion, RunBudget};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -2,32 +2,14 @@
 //! jobs must stay bit-identical to the scoped-spawn reference, worker
 //! panics must surface as [`WorkerFailure`] without poisoning the pool,
 //! and dropping a pool must join every worker thread (no leaks, even
-//! when a chaos kill switch stops a job mid-flight).
+//! when a chaos kill switch stops a job mid-flight). Leaks are measured
+//! by the pool's own live-worker count, which no other thread in the
+//! process (the test harness's included) can move.
 
 use nde_robust::chaos::FaultSchedule;
 use nde_robust::par::{par_map_indexed_scratch_scoped, CostHint, WorkerFailure, WorkerPool};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Tests that create (and count) pool threads must not overlap — the
-/// harness runs tests concurrently on multi-core machines, and a pool
-/// spawned by a neighboring test would skew `/proc` thread counts.
-static POOL_TESTS: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    POOL_TESTS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Live threads in this process (Linux `/proc/self/status`); `None` where
-/// the proc filesystem is unavailable, in which case leak checks degrade
-/// to "drop returns" (a deadlocked join would hang the test instead).
-fn live_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
+use std::sync::Arc;
 
 /// A deterministic, mildly expensive work item: enough arithmetic that
 /// adaptive chunking engages, pure in `i` so every schedule agrees.
@@ -41,7 +23,6 @@ fn work(i: u64) -> u64 {
 
 #[test]
 fn pool_reuse_is_bit_identical_to_scoped_spawns() {
-    let _serial = serialize();
     let pool = WorkerPool::new(3);
     let stop = AtomicBool::new(false);
     let reference = par_map_indexed_scratch_scoped::<_, _, (), _, _>(
@@ -71,7 +52,6 @@ fn pool_reuse_is_bit_identical_to_scoped_spawns() {
 
 #[test]
 fn worker_panic_surfaces_as_failure_and_pool_stays_usable() {
-    let _serial = serialize();
     let pool = WorkerPool::new(2);
     let stop = AtomicBool::new(false);
     // A chaos schedule decides which indices blow up; the smallest one
@@ -104,7 +84,6 @@ fn worker_panic_surfaces_as_failure_and_pool_stays_usable() {
 
 #[test]
 fn error_results_match_at_every_thread_count() {
-    let _serial = serialize();
     let pool = WorkerPool::new(3);
     let stop = AtomicBool::new(false);
     for &threads in &[1, 2, 4, 7] {
@@ -133,31 +112,26 @@ fn error_results_match_at_every_thread_count() {
 
 #[test]
 fn dropping_a_pool_joins_all_workers() {
-    let _serial = serialize();
-    let before = live_threads();
-    {
+    let live = {
         let pool = WorkerPool::new(4);
+        let live = pool.live_workers();
         let stop = AtomicBool::new(false);
         let out = pool
             .map_indexed::<u64, (), _>(5, 0..200, &stop, CostHint::Unknown, |i| Ok(work(i)))
             .unwrap();
         assert_eq!(out.len(), 200);
-        if let (Some(b), Some(d)) = (before, live_threads()) {
-            assert!(d >= b + 4, "pool workers alive while pool exists");
-        }
-    }
-    // Drop joined the workers: the thread count is back where it started.
-    if let (Some(b), Some(a)) = (before, live_threads()) {
-        assert_eq!(a, b, "dropped pool leaked worker threads");
-    }
+        assert_eq!(live.count(), 4, "pool workers alive while pool exists");
+        live
+    };
+    // Drop joined the workers: none of them is still running.
+    assert_eq!(live.count(), 0, "dropped pool leaked worker threads");
 }
 
 #[test]
 fn kill_switch_mid_job_leaves_no_leaks_and_pool_reusable() {
-    let _serial = serialize();
-    let before = live_threads();
-    {
+    let live = {
         let pool = Arc::new(WorkerPool::new(3));
+        let live = pool.live_workers();
         let stop = AtomicBool::new(false);
         let done = AtomicU64::new(0);
         // The kill switch arms after 64 completions — mid-run, from inside
@@ -181,15 +155,14 @@ fn kill_switch_mid_job_leaves_no_leaks_and_pool_reusable() {
             .map_indexed::<u64, (), _>(4, 0..128, &stop, CostHint::Unknown, |i| Ok(work(i)))
             .unwrap();
         assert_eq!(clean.len(), 128);
-    }
-    if let (Some(b), Some(a)) = (before, live_threads()) {
-        assert_eq!(a, b, "killed pool leaked worker threads");
-    }
+        assert_eq!(live.count(), 3, "pool workers alive while pool exists");
+        live
+    };
+    assert_eq!(live.count(), 0, "killed pool leaked worker threads");
 }
 
 #[test]
 fn zero_and_tiny_pools_agree_with_large_ones() {
-    let _serial = serialize();
     let stop = AtomicBool::new(false);
     let reference: Vec<(u64, u64)> = (0..257).map(|i| (i, work(i))).collect();
     for workers in [0, 1, 3] {
@@ -207,7 +180,6 @@ fn zero_and_tiny_pools_agree_with_large_ones() {
 
 #[test]
 fn shared_pool_reports_activity_monotonically() {
-    let _serial = serialize();
     let pool = WorkerPool::shared();
     let stop = AtomicBool::new(false);
     let before = pool.stats();
