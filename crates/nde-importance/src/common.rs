@@ -48,6 +48,21 @@ pub fn coalition_utility<C: Classifier>(
     Ok(v)
 }
 
+/// The first non-finite feature of `train`, then of `valid`, described
+/// for an error message — `None` when every feature is finite. Corrupt
+/// features would silently poison every score, so estimators check this
+/// before spending any work.
+pub(crate) fn non_finite_feature(train: &Dataset, valid: &Dataset) -> Option<String> {
+    [("training", train), ("validation", valid)]
+        .into_iter()
+        .find_map(|(name, data)| {
+            let (row, col) = data.first_non_finite()?;
+            Some(format!(
+                "{name} data holds a non-finite feature at row {row}, column {col}"
+            ))
+        })
+}
+
 /// Errors from importance computations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ImportanceError {

@@ -45,7 +45,7 @@
 //! split).
 
 use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
-use crate::common::ImportanceScores;
+use crate::common::{non_finite_feature, ImportanceScores};
 use crate::{ImportanceError, Result};
 use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
@@ -136,14 +136,8 @@ where
             "empty training set".into(),
         ));
     }
-    // Corrupt features would silently poison every marginal; fail with the
-    // offending cell before spending any budget.
-    for (name, data) in [("training", train), ("validation", valid)] {
-        if let Some((row, col)) = data.first_non_finite() {
-            return Err(ImportanceError::Ml(format!(
-                "{name} data holds a non-finite feature at row {row}, column {col}"
-            )));
-        }
+    if let Some(msg) = non_finite_feature(train, valid) {
+        return Err(ImportanceError::Ml(msg));
     }
     let n = train.len();
     let total = config.permutations as u64;

@@ -28,7 +28,7 @@
 
 use crate::dataset::Dataset;
 use crate::linalg::squared_distance;
-use crate::models::knn::{closer, nearest};
+use crate::models::knn::{key_index, nearest, order_key};
 use crate::{MlError, Result};
 
 /// Scores batches of coalitions against a fixed (train, valid) pair in one
@@ -218,11 +218,14 @@ fn invert_row_map(
 /// One-pass batch scorer for the KNN utility.
 ///
 /// Reproduces `utility(&KnnClassifier::new(k), &train.subset(S), valid)`
-/// for every coalition `S`: because `S` is sorted, partial selection by
-/// `(distance, global index)` over the shared [`DistanceTable`] row visits
-/// members in the same order a subset-local sort would, and majority voting
-/// with ties toward the smaller class id matches
-/// [`crate::models::knn::KnnClassifier`]'s per-point prediction exactly.
+/// for every coalition `S`. The scorer owns a [`DistanceTable`] built once
+/// for the run. Per validation point and coalition it packs each member's
+/// distance and global index into an [`order_key`] and partially selects
+/// the k smallest keys. Because `S` is sorted, the global-index tie-break
+/// equals the subset-local one, so the selected set is the one a fresh fit
+/// on the subset would see; majority voting with ties toward the smaller
+/// class id matches [`crate::models::knn::KnnClassifier`]'s per-point
+/// prediction exactly.
 #[derive(Debug)]
 pub struct KnnCoalitionScorer {
     table: DistanceTable,
@@ -244,11 +247,6 @@ impl KnnCoalitionScorer {
             n_classes: train.n_classes,
         }
     }
-
-    /// The shared distance table (also useful to closed-form KNN-Shapley).
-    pub fn table(&self) -> &DistanceTable {
-        &self.table
-    }
 }
 
 impl CoalitionScorer for KnnCoalitionScorer {
@@ -259,7 +257,7 @@ impl CoalitionScorer for KnnCoalitionScorer {
             return vec![0.0; coalitions.len()];
         }
         let mut correct = vec![0usize; coalitions.len()];
-        let mut sel: Vec<usize> = Vec::new();
+        let mut sel: Vec<u128> = Vec::new();
         let mut votes = vec![0usize; self.n_classes];
         // Outer loop over validation points: each distance row is read once
         // and scores every coalition in the batch before moving on.
@@ -268,18 +266,18 @@ impl CoalitionScorer for KnnCoalitionScorer {
             let truth = self.valid_y[v];
             for (ci, &members) in coalitions.iter().enumerate() {
                 sel.clear();
-                sel.extend_from_slice(members);
+                sel.extend(members.iter().map(|&i| order_key(row[i], i)));
                 let k = self.k.min(sel.len());
                 if k < sel.len() {
                     // Partial selection of the k nearest members; ties break
                     // by global index, which equals the subset-local order
                     // because `members` is ascending.
-                    sel.select_nth_unstable_by(k, |&a, &b| closer(row, a, b));
+                    sel.select_nth_unstable(k);
                     sel.truncate(k);
                 }
                 votes.iter_mut().for_each(|c| *c = 0);
-                for &i in &sel {
-                    votes[self.train_y[i]] += 1;
+                for &key in &sel {
+                    votes[self.train_y[key_index(key)]] += 1;
                 }
                 let pred = votes
                     .iter()
@@ -363,9 +361,10 @@ pub trait IncrementalLabelEval: Send {
 ///   map keeps the index tie order). It re-selects only the points that
 ///   lost a neighbor or that an inserted row now beats.
 ///
-/// Selection is a linear-time partial select plus a sort of the k-prefix,
-/// under the same `(distance, index)` order as
-/// [`crate::models::knn::KnnClassifier::neighbors`].
+/// Selection is a linear-time partial select plus a sort of the k-prefix
+/// over [`order_key`]s, the same `(distance, index)` order as
+/// [`crate::models::knn::KnnClassifier::neighbors`]; each neighbor list
+/// holds exactly its (at most k) entries.
 #[derive(Debug, Clone)]
 pub struct IncrementalKnnEval {
     table: DistanceTable,
@@ -394,7 +393,9 @@ impl IncrementalKnnEval {
         }
         let table = DistanceTable::new(train, valid);
         let k = k.max(1);
-        let neighbors = (0..valid.len()).map(|v| nearest(table.row(v), k)).collect();
+        let neighbors = (0..valid.len())
+            .map(|v| nearest(table.row(v).iter().copied(), k))
+            .collect();
         let mut eval = IncrementalKnnEval {
             table,
             k,
@@ -428,7 +429,7 @@ impl IncrementalKnnEval {
     /// Re-select validation point `v`'s neighbors from the table, patch
     /// the inverted index for the rows that entered or left, and re-vote.
     fn reselect(&mut self, v: usize) {
-        let fresh = nearest(self.table.row(v), self.k);
+        let fresh = nearest(self.table.row(v).iter().copied(), self.k);
         let old = std::mem::replace(&mut self.neighbors[v], fresh);
         for &i in &old {
             if !self.neighbors[v].contains(&i) {
@@ -541,7 +542,8 @@ impl IncrementalLabelEval for IncrementalKnnEval {
             *flag = *flag
                 || match nb.last() {
                     Some(&kth) if nb.len() == self.k => {
-                        changed.iter().any(|&c| closer(row, c, kth).is_lt())
+                        let bar = order_key(row[kth], kth);
+                        changed.iter().any(|&c| order_key(row[c], c) < bar)
                     }
                     _ => true,
                 };
@@ -583,7 +585,8 @@ impl IncrementalLabelEval for IncrementalKnnEval {
             let row = self.table.row(v);
             let beaten = match nb.last() {
                 Some(&kth) if nb.len() == self.k => {
-                    inserted.iter().any(|&j| closer(row, j, kth).is_lt())
+                    let bar = order_key(row[kth], kth);
+                    inserted.iter().any(|&j| order_key(row[j], j) < bar)
                 }
                 _ => !inserted.is_empty(),
             };

@@ -8,7 +8,6 @@ use crate::dataset::Dataset;
 use crate::linalg::squared_distance;
 use crate::model::Classifier;
 use crate::{MlError, Result};
-use std::cmp::Ordering;
 
 /// A K-nearest-neighbors classifier with Euclidean distance and majority
 /// voting (ties broken toward the smaller class id).
@@ -41,40 +40,55 @@ impl KnnClassifier {
     /// Distance ties are broken by index for determinism.
     pub fn neighbors(&self, x: &[f64]) -> Vec<usize> {
         let train = self.train.as_ref().expect("model must be fitted");
-        let dists: Vec<f64> = train
-            .x
-            .iter_rows()
-            .map(|r| squared_distance(r, x))
-            .collect();
-        nearest(&dists, self.k)
+        nearest(train.x.iter_rows().map(|r| squared_distance(r, x)), self.k)
     }
 }
 
-/// The neighbor order every KNN path shares: ascending distance, ties
-/// toward the smaller index. On finite distances it is a total order, so
-/// a top-k set and its order are unique however they are selected.
-pub(crate) fn closer(dists: &[f64], a: usize, b: usize) -> Ordering {
-    dists[a]
-        .partial_cmp(&dists[b])
-        .expect("finite distances")
-        .then(a.cmp(&b))
+/// The neighbor order every KNN path shares, packed into one integer:
+/// ascending distance, ties toward the smaller index. The key holds the
+/// distance's bits above the index. Non-negative IEEE doubles order like
+/// their bit patterns, so for every distance in `[+0, +inf]` integer order
+/// on keys is exactly `(distance, index)` order, and a top-k set and its
+/// order are unique however they are selected. Adding `+0.0` maps `-0.0`
+/// (the sum over zero dimensions) to `+0`.
+///
+/// # Panics
+///
+/// On a NaN or negative distance, which has no place in the order.
+#[inline]
+pub fn order_key(d: f64, idx: usize) -> u128 {
+    assert!(
+        d >= 0.0,
+        "finite distances: no neighbor order for distance {d}"
+    );
+    (u128::from((d + 0.0).to_bits()) << 64) | idx as u128
 }
 
-/// Indices of the `k` smallest entries of `dists` under [`closer`],
-/// closest first: a linear-time selection, then a sort of the k-prefix
-/// only.
-pub(crate) fn nearest(dists: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..dists.len()).collect();
-    let k = k.min(idx.len());
+/// The index packed into an [`order_key`].
+#[inline]
+pub fn key_index(key: u128) -> usize {
+    key as usize
+}
+
+/// Positions of the `k` smallest of `dists` under [`order_key`], closest
+/// first, as a fresh k-length `Vec`: a linear-time selection, then a sort
+/// of the k-prefix only.
+pub(crate) fn nearest(dists: impl IntoIterator<Item = f64>, k: usize) -> Vec<usize> {
+    let mut keys: Vec<u128> = dists
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| order_key(d, i))
+        .collect();
+    let k = k.min(keys.len());
     if k == 0 {
         return Vec::new();
     }
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, |&a, &b| closer(dists, a, b));
-        idx.truncate(k);
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
     }
-    idx.sort_unstable_by(|&a, &b| closer(dists, a, b));
-    idx
+    let near = &mut keys[..k];
+    near.sort_unstable();
+    near.iter().map(|&key| key_index(key)).collect()
 }
 
 impl Classifier for KnnClassifier {
@@ -148,6 +162,7 @@ impl Classifier for KnnClassifier {
 mod tests {
     use super::*;
     use nde_data::generate::blobs::two_gaussians;
+    use nde_data::rng::Rng;
 
     fn toy() -> Dataset {
         Dataset::from_rows(
@@ -199,6 +214,76 @@ mod tests {
         let mut knn = KnnClassifier::new(2);
         knn.fit(&d).unwrap();
         assert_eq!(knn.neighbors(&[0.0]), vec![0, 1]);
+    }
+
+    /// The comparator every KNN path used before [`order_key`]: ascending
+    /// distance, ties toward the smaller index.
+    fn oracle(dists: &[f64], a: usize, b: usize) -> std::cmp::Ordering {
+        dists[a]
+            .partial_cmp(&dists[b])
+            .expect("finite distances")
+            .then(a.cmp(&b))
+    }
+
+    /// Distances drawn to collide: signed zeros, subnormals, duplicates,
+    /// `+inf` and a few ordinary values.
+    fn tricky_distances(len: usize, rng: &mut impl Rng) -> Vec<f64> {
+        const POOL: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-310,
+            1.0,
+            2.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.8) {
+                    POOL[rng.gen_range(0..POOL.len())]
+                } else {
+                    rng.gen_range(0.0..4.0)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn order_key_orders_exactly_like_the_comparator() {
+        let mut rng = nde_data::rng::seeded(0x0bde);
+        for _ in 0..300 {
+            let dists = tricky_distances(rng.gen_range(1..40usize), &mut rng);
+            let n = dists.len();
+            let mut want: Vec<usize> = (0..n).collect();
+            want.sort_by(|&a, &b| oracle(&dists, a, b));
+            let mut keys: Vec<u128> = (0..n).map(|i| order_key(dists[i], i)).collect();
+            keys.sort_unstable();
+            let got: Vec<usize> = keys.iter().map(|&key| key_index(key)).collect();
+            assert_eq!(got, want, "sort of {dists:?}");
+            for nth in 0..n {
+                let mut keys: Vec<u128> = (0..n).map(|i| order_key(dists[i], i)).collect();
+                keys.select_nth_unstable(nth);
+                assert_eq!(key_index(keys[nth]), want[nth], "select {nth} of {dists:?}");
+                let mut near: Vec<usize> = keys[..nth].iter().map(|&key| key_index(key)).collect();
+                near.sort_unstable();
+                let mut want_near = want[..nth].to_vec();
+                want_near.sort_unstable();
+                assert_eq!(near, want_near, "select {nth} of {dists:?}");
+                assert_eq!(
+                    nearest(dists.iter().copied(), nth + 1),
+                    want[..=nth],
+                    "nearest {nth} of {dists:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite distances")]
+    fn order_key_rejects_nan() {
+        order_key(f64::NAN, 0);
     }
 
     #[test]

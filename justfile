@@ -85,6 +85,18 @@ bench-incremental:
     grep -q '"runner"' BENCH_incremental.json
     cargo test -q --release --offline -p nde-tests --test incremental_delta
 
+# Benchmark build smoke: the benchmark is a workspace of its own, so a
+# library API change can break it without the workspace build noticing.
+# Runs its unit tests and one short run of each workload, whose last
+# stdout line must report correct outputs and no failed operations.
+perfbench-smoke:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    for w in fix-stream hiring-session; do \
+        cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload $w --seconds 1 2>/dev/null | tail -n 1 > /tmp/nde_perfbench_$w.txt; \
+        grep -q '"correct": true' /tmp/nde_perfbench_$w.txt || exit 1; \
+        grep -q '"failed": 0' /tmp/nde_perfbench_$w.txt || exit 1; \
+    done
+
 # Format and lint.
 lint:
     cargo fmt --all
