@@ -9,12 +9,13 @@
 use crate::oracle::{CleaningOracle, LabelOracle};
 use crate::strategy::Strategy;
 use crate::{CleaningError, Result};
-use nde_data::json::{Json, ToJson};
 use nde_ml::batch::IncrementalLabelEval;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_pipeline::MaintenanceMode;
-use nde_robust::{retry_with_backoff, ConvergenceDiagnostics, RetryPolicy, RunBudget};
+use nde_robust::{
+    retry_with_backoff, ConvergenceDiagnostics, RetryPolicy, RobustError, RunBudget, Snapshot,
+};
 
 /// Trace of an iterative cleaning run.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +55,10 @@ impl CleaningRun {
 pub struct CleaningCheckpoint {
     /// Name of the strategy that wrote the snapshot.
     pub strategy: String,
+    /// Rows sent to the oracle per round by the run that wrote it.
+    pub batch: usize,
+    /// Whether that run re-ranked after every round.
+    pub rescore: bool,
     /// Completed cleaning rounds (budget iterations).
     pub rounds_done: u64,
     /// Cumulative logical utility calls (baseline + one per round).
@@ -73,69 +78,22 @@ pub struct CleaningCheckpoint {
 }
 
 impl CleaningCheckpoint {
-    /// Internal consistency: aligned trace lengths, a round count matching
-    /// the trace, monotone cleaned counts agreeing with the cleaned-set,
-    /// an order that is a permutation, and finite accuracies.
-    pub fn validate(&self) -> Result<()> {
-        let n = self.y.len();
-        if self.cleaned_set.len() != n || self.order.len() != n {
-            return Err(CleaningError::Checkpoint(format!(
-                "snapshot holds {} labels but {} cleaned flags and {} order entries",
-                n,
-                self.cleaned_set.len(),
-                self.order.len()
-            )));
-        }
-        let mut seen = vec![false; n];
-        for &i in &self.order {
-            if i >= n || seen[i] {
-                return Err(CleaningError::Checkpoint(
-                    "cleaning order is not a permutation of the rows".into(),
-                ));
-            }
-            seen[i] = true;
-        }
-        if self.cleaned.len() != self.accuracy.len() || self.cleaned.is_empty() {
-            return Err(CleaningError::Checkpoint(format!(
-                "trace holds {} cleaned counts but {} accuracies",
-                self.cleaned.len(),
-                self.accuracy.len()
-            )));
-        }
-        if self.rounds_done as usize != self.cleaned.len() - 1 {
-            return Err(CleaningError::Checkpoint(format!(
-                "{} rounds done but the trace has {} entries",
-                self.rounds_done,
-                self.cleaned.len()
-            )));
-        }
-        if self.cleaned[0] != 0 || self.cleaned.windows(2).any(|w| w[1] < w[0]) {
-            return Err(CleaningError::Checkpoint(
-                "cleaned counts must start at 0 and be non-decreasing".into(),
-            ));
-        }
-        let flagged = self.cleaned_set.iter().filter(|&&c| c).count();
-        if *self.cleaned.last().expect("validated non-empty") != flagged {
-            return Err(CleaningError::Checkpoint(format!(
-                "trace claims {} rows cleaned but {flagged} are flagged",
-                self.cleaned.last().expect("validated non-empty")
-            )));
-        }
-        if let Some(i) = self.accuracy.iter().position(|a| !a.is_finite()) {
-            return Err(CleaningError::Checkpoint(format!(
-                "`accuracy[{i}]` is not a finite number"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Reject a snapshot that was written by a differently-shaped run.
-    pub fn validate_against(&self, strategy: &str, dirty: &Dataset) -> Result<()> {
+    /// Reject a snapshot that was written by a differently configured run:
+    /// another strategy, batch size or rescoring policy, or another
+    /// dataset shape.
+    pub fn validate_against(
+        &self,
+        strategy: &str,
+        batch: usize,
+        rescore: bool,
+        dirty: &Dataset,
+    ) -> Result<()> {
         self.validate()?;
-        if self.strategy != strategy {
+        if (self.strategy.as_str(), self.batch, self.rescore) != (strategy, batch, rescore) {
             return Err(CleaningError::Checkpoint(format!(
-                "snapshot written by strategy `{}`, this run uses `{strategy}`",
-                self.strategy
+                "snapshot (strategy `{}`, batch {}, rescore {}) does not match run \
+                 (strategy `{strategy}`, batch {batch}, rescore {rescore})",
+                self.strategy, self.batch, self.rescore
             )));
         }
         if self.y.len() != dirty.len() {
@@ -153,90 +111,79 @@ impl CleaningCheckpoint {
         }
         Ok(())
     }
+}
 
-    /// The snapshot as a durable-store payload.
-    pub fn to_payload(&self) -> Json {
-        let uints = |v: &[usize]| Json::Arr(v.iter().map(|&u| Json::UInt(u as u64)).collect());
-        Json::Obj(vec![
-            ("method".into(), Json::Str("prioritized-cleaning".into())),
-            ("strategy".into(), Json::Str(self.strategy.clone())),
-            ("rounds_done".into(), Json::UInt(self.rounds_done)),
-            ("utility_calls".into(), Json::UInt(self.utility_calls)),
-            ("oracle_retries".into(), Json::UInt(self.oracle_retries)),
-            ("y".into(), uints(&self.y)),
-            (
-                "cleaned_set".into(),
-                Json::Arr(self.cleaned_set.iter().map(|&b| Json::Bool(b)).collect()),
-            ),
-            ("order".into(), uints(&self.order)),
-            ("cleaned".into(), uints(&self.cleaned)),
-            ("accuracy".into(), self.accuracy.to_json()),
-        ])
+impl Snapshot for CleaningCheckpoint {
+    const METHOD: &'static str = "prioritized-cleaning";
+
+    fn step(&self) -> u64 {
+        self.rounds_done
     }
 
-    /// Reconstruct and validate a snapshot from a durable-store payload.
-    pub fn from_payload(doc: &Json) -> Result<CleaningCheckpoint> {
-        let text = |name: &str| -> Result<String> {
-            doc.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| CleaningError::Checkpoint(format!("`{name}` is not a string")))
-        };
-        if text("method")? != "prioritized-cleaning" {
-            return Err(CleaningError::Checkpoint(format!(
-                "snapshot written by `{}`, expected `prioritized-cleaning`",
-                text("method")?
+    /// Aligned trace lengths, a round count matching the trace, monotone
+    /// cleaned counts agreeing with the cleaned-set, and an order that is a
+    /// permutation.
+    fn validate(&self) -> nde_robust::Result<()> {
+        let n = self.y.len();
+        if self.cleaned_set.len() != n || self.order.len() != n {
+            return Err(RobustError::Checkpoint(format!(
+                "snapshot holds {} labels but {} cleaned flags and {} order entries",
+                n,
+                self.cleaned_set.len(),
+                self.order.len()
             )));
         }
-        let uint = |name: &str| -> Result<u64> {
-            doc.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CleaningError::Checkpoint(format!("`{name}` is not an integer")))
-        };
-        let arr = |name: &str| -> Result<&[Json]> {
-            doc.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| CleaningError::Checkpoint(format!("`{name}` is not an array")))
-        };
-        let uints = |name: &str| -> Result<Vec<usize>> {
-            arr(name)?
-                .iter()
-                .map(|v| {
-                    v.as_u64().map(|u| u as usize).ok_or_else(|| {
-                        CleaningError::Checkpoint(format!("`{name}` holds a non-integer"))
-                    })
-                })
-                .collect()
-        };
-        let ckpt = CleaningCheckpoint {
-            strategy: text("strategy")?,
-            rounds_done: uint("rounds_done")?,
-            utility_calls: uint("utility_calls")?,
-            oracle_retries: uint("oracle_retries")?,
-            y: uints("y")?,
-            cleaned_set: arr("cleaned_set")?
-                .iter()
-                .map(|v| match v {
-                    Json::Bool(b) => Ok(*b),
-                    _ => Err(CleaningError::Checkpoint(
-                        "`cleaned_set` holds a non-boolean".into(),
-                    )),
-                })
-                .collect::<Result<Vec<bool>>>()?,
-            order: uints("order")?,
-            cleaned: uints("cleaned")?,
-            accuracy: arr("accuracy")?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        CleaningError::Checkpoint("`accuracy` holds a non-number".into())
-                    })
-                })
-                .collect::<Result<Vec<f64>>>()?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
+        let mut seen = vec![false; n];
+        for &i in &self.order {
+            if i >= n || seen[i] {
+                return Err(RobustError::Checkpoint(
+                    "cleaning order is not a permutation of the rows".into(),
+                ));
+            }
+            seen[i] = true;
+        }
+        if self.cleaned.len() != self.accuracy.len() || self.cleaned.is_empty() {
+            return Err(RobustError::Checkpoint(format!(
+                "trace holds {} cleaned counts but {} accuracies",
+                self.cleaned.len(),
+                self.accuracy.len()
+            )));
+        }
+        if self.rounds_done as usize != self.cleaned.len() - 1 {
+            return Err(RobustError::Checkpoint(format!(
+                "{} rounds done but the trace has {} entries",
+                self.rounds_done,
+                self.cleaned.len()
+            )));
+        }
+        if self.cleaned[0] != 0 || self.cleaned.windows(2).any(|w| w[1] < w[0]) {
+            return Err(RobustError::Checkpoint(
+                "cleaned counts must start at 0 and be non-decreasing".into(),
+            ));
+        }
+        let flagged = self.cleaned_set.iter().filter(|&&c| c).count();
+        if *self.cleaned.last().expect("validated non-empty") != flagged {
+            return Err(RobustError::Checkpoint(format!(
+                "trace claims {} rows cleaned but {flagged} are flagged",
+                self.cleaned.last().expect("validated non-empty")
+            )));
+        }
+        Ok(())
     }
+
+    nde_robust::snapshot_fields!(
+        strategy,
+        batch,
+        rescore,
+        rounds_done,
+        utility_calls,
+        oracle_retries,
+        y,
+        cleaned_set,
+        order,
+        cleaned,
+        accuracy,
+    );
 }
 
 /// A [`CleaningRun`] plus how much budget it consumed and whether it was
@@ -331,8 +278,8 @@ pub fn prioritized_cleaning_robust<C: Classifier>(
 /// [`CleaningCheckpoint`] the interrupted call returned and cleaning
 /// continues with the next round — same repairs, same trace, same oracle
 /// picks — exactly as if the run had never stopped. A snapshot from a
-/// different strategy or dataset shape is rejected with
-/// [`CleaningError::Checkpoint`]. Always pass the *original* dirty
+/// different strategy, batch size, rescoring policy or dataset shape is
+/// rejected with [`CleaningError::Checkpoint`]. Always pass the *original* dirty
 /// dataset; the snapshot carries the repairs.
 #[allow(clippy::too_many_arguments)] // the loop’s knobs are individually meaningful
 pub fn prioritized_cleaning_resumable<C: Classifier>(
@@ -372,7 +319,7 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
     let (mut clock, mut run, mut cleaned_set, mut order, mut cleaned_total, mut oracle_retries);
     match resume {
         Some(cp) => {
-            cp.validate_against(strategy.name(), dirty)?;
+            cp.validate_against(strategy.name(), batch, rescore, dirty)?;
             current.y = cp.y.clone();
             clock = budget.resume(cp.rounds_done, cp.utility_calls);
             run = CleaningRun {
@@ -478,6 +425,8 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
     let diagnostics = clock.diagnostics(None);
     let snapshot = CleaningCheckpoint {
         strategy: strategy.name().to_string(),
+        batch,
+        rescore,
         rounds_done: clock.iterations(),
         utility_calls: clock.utility_calls(),
         oracle_retries,
@@ -501,6 +450,7 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
 mod tests {
     use super::*;
     use nde_data::generate::blobs::two_gaussians;
+    use nde_data::json::Json;
     use nde_ml::models::knn::KnnClassifier;
 
     fn setup() -> (Dataset, Dataset, LabelOracle) {
@@ -812,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mismatches_and_torn_payloads_are_rejected() {
+    fn snapshot_mismatches_are_rejected() {
         let (dirty, valid, oracle) = setup();
         let knn = KnnClassifier::new(3);
         let strategy = Strategy::KnnShapley { k: 3 };
@@ -851,9 +801,16 @@ mod tests {
             assert!(matches!(err, CleaningError::Checkpoint(_)), "{err}");
         };
 
-        // Written by a different strategy.
+        // Written by a different strategy, batch size or rescoring policy
+        // (each changes which rows later rounds pick).
         let mut bad = snap.clone();
         bad.strategy = "random".into();
+        reject(&bad);
+        let mut bad = snap.clone();
+        bad.batch = 7;
+        reject(&bad);
+        let mut bad = snap.clone();
+        bad.rescore = true;
         reject(&bad);
         // Wrong dataset shape.
         let mut bad = snap.clone();
@@ -873,23 +830,6 @@ mod tests {
         let mut bad = snap.clone();
         bad.y[0] = dirty.n_classes;
         reject(&bad);
-
-        // Torn payload: every strict prefix must fail to parse or validate.
-        let text = snap.to_payload().to_string_pretty();
-        for cut in (0..text.len()).step_by(97) {
-            if let Ok(doc) = Json::parse(&text[..cut]) {
-                assert!(
-                    CleaningCheckpoint::from_payload(&doc).is_err(),
-                    "torn prefix of {cut} bytes must not validate"
-                );
-            }
-        }
-        // Non-finite accuracy smuggled through JSON (`1e999` parses to inf).
-        let poisoned = text.replacen(&format!("{}", snap.accuracy[0]), "1e999", 1);
-        assert!(
-            CleaningCheckpoint::from_payload(&Json::parse(&poisoned).unwrap()).is_err(),
-            "non-finite accuracy must be rejected"
-        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
 use crate::common::ImportanceScores;
+use crate::run::EngineRun;
 use crate::snapshot::BanzhafCheckpoint;
 use crate::{ImportanceError, Result};
 use nde_data::rng::Rng;
@@ -24,7 +25,7 @@ use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{CostHint, MemoCache, WorkerFailure, WorkerPool};
-use nde_robust::{ConvergenceDiagnostics, RunBudget};
+use nde_robust::RunBudget;
 use std::sync::atomic::AtomicBool;
 
 /// Configuration for the Banzhaf MSR estimator.
@@ -78,14 +79,6 @@ where
     .map(|(run, stats)| (run.scores, stats))
 }
 
-/// Output of [`banzhaf_engine_budgeted`]: best-so-far scores, how far the
-/// budget let the run get, and a resumable snapshot.
-pub(crate) struct BanzhafRun {
-    pub scores: ImportanceScores,
-    pub diagnostics: ConvergenceDiagnostics,
-    pub checkpoint: BanzhafCheckpoint,
-}
-
 /// One sample's logical utility cost: 1 unless the sampled subset is empty
 /// (`U(∅) = 0` is a convention, not an evaluation). A pure RNG replay, so
 /// budget trip points are independent of caching, batching, and threads.
@@ -112,7 +105,7 @@ pub(crate) fn banzhaf_engine_budgeted<C>(
     cache: Option<&MemoCache>,
     policy: BatchPolicy,
     pool: &WorkerPool,
-) -> Result<(BanzhafRun, BatchStats)>
+) -> Result<(EngineRun<BanzhafCheckpoint>, BatchStats)>
 where
     C: Classifier + Send + Sync,
 {
@@ -201,7 +194,7 @@ where
         state.utility_calls = clock.utility_calls();
     }
     Ok((
-        BanzhafRun {
+        EngineRun {
             scores: ImportanceScores::new("banzhaf", state.values()),
             diagnostics: clock.diagnostics(None),
             checkpoint: state,

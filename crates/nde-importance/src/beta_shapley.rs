@@ -11,6 +11,7 @@
 
 use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
 use crate::common::ImportanceScores;
+use crate::run::EngineRun;
 use crate::snapshot::BetaShapleyCheckpoint;
 use crate::{ImportanceError, Result};
 use nde_data::rng::Rng;
@@ -19,7 +20,7 @@ use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{CostHint, MemoCache, WorkerFailure, WorkerPool};
-use nde_robust::{ConvergenceDiagnostics, RunBudget};
+use nde_robust::RunBudget;
 use std::sync::atomic::AtomicBool;
 
 /// Configuration for the Beta Shapley estimator.
@@ -149,14 +150,6 @@ where
     .map(|(run, stats)| (run.scores, stats))
 }
 
-/// Output of [`beta_shapley_engine_budgeted`]: best-so-far scores, budget
-/// diagnostics, and a resumable point-granular snapshot.
-pub(crate) struct BetaShapleyRun {
-    pub scores: ImportanceScores,
-    pub diagnostics: ConvergenceDiagnostics,
-    pub checkpoint: BetaShapleyCheckpoint,
-}
-
 /// One point's logical utility cost, by pure RNG replay of its sampling
 /// stream: every sample's `S ∪ i` coalition costs one call; its `S` costs
 /// one more unless the drawn size is 0 (`U(∅) = 0` is free). The replay
@@ -194,7 +187,7 @@ pub(crate) fn beta_shapley_engine_budgeted<C>(
     cache: Option<&MemoCache>,
     policy: BatchPolicy,
     pool: &WorkerPool,
-) -> Result<(BetaShapleyRun, BatchStats)>
+) -> Result<(EngineRun<BetaShapleyCheckpoint>, BatchStats)>
 where
     C: Classifier + Send + Sync,
 {
@@ -318,7 +311,7 @@ where
         state.utility_calls = clock.utility_calls();
     }
     Ok((
-        BetaShapleyRun {
+        EngineRun {
             scores: ImportanceScores::new("beta-shapley", state.values.clone()),
             diagnostics: clock.diagnostics(None),
             checkpoint: state,

@@ -71,8 +71,8 @@ pub use run::{
     banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
     ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
 };
-pub use shapley_mc::{BudgetedShapley, ShapleyConfig};
-pub use snapshot::{BanzhafCheckpoint, BetaShapleyCheckpoint, EstimatorCheckpoint};
+pub use shapley_mc::ShapleyConfig;
+pub use snapshot::{BanzhafCheckpoint, BetaShapleyCheckpoint};
 
 /// Everything needed to run an importance method, in one import.
 pub mod prelude {
@@ -85,11 +85,10 @@ pub mod prelude {
         banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
         ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
     };
-    pub use crate::snapshot::EstimatorCheckpoint;
-    pub use crate::{BanzhafConfig, BetaShapleyConfig, BudgetedShapley, Result, ShapleyConfig};
+    pub use crate::{BanzhafConfig, BetaShapleyConfig, Result, ShapleyConfig};
     pub use nde_robust::par::MemoCache;
     pub use nde_robust::{
-        ConvergenceDiagnostics, McCheckpoint, RunBudget, RunFingerprint, RunStore,
+        ConvergenceDiagnostics, McCheckpoint, RunBudget, RunFingerprint, RunStore, Snapshot,
     };
 }
 

@@ -46,29 +46,34 @@
 //!
 //! The three Monte-Carlo methods (TMC-Shapley, Banzhaf, Beta Shapley) all
 //! honor [`with_budget`](ImportanceRun::with_budget) and resume
-//! bit-identically from the [`EstimatorCheckpoint`] returned in
-//! `report.snapshot` (pass it back via
-//! [`with_resume`](ImportanceRun::with_resume)). Attaching a
-//! [`RunStore`] via [`with_store`](ImportanceRun::with_store) makes the
-//! run *crash-safe*: checkpoints are written as checksummed on-disk records
-//! keyed by the run's [`RunFingerprint`] (method, seed, config, data), and
-//! a re-run with the same options silently resumes from the latest valid
-//! record — after a crash, a torn write, or a corrupted record, whatever
-//! state survives validation is picked up and the rest is recomputed,
-//! bit-identically. [`with_auto_checkpoint`](ImportanceRun::with_auto_checkpoint)
-//! sets how many estimator steps may elapse between records.
+//! bit-identically from the snapshot payload returned in `report.snapshot`
+//! (pass it back via [`with_resume`](ImportanceRun::with_resume)). The
+//! payload is the same [`Snapshot`] JSON a store record carries, so an
+//! explicit resume and a store auto-resume run the same decode, and a
+//! snapshot written by another method, or by a run with another
+//! configuration, is rejected with [`ImportanceError::Checkpoint`].
+//! Attaching a [`RunStore`] via [`with_store`](ImportanceRun::with_store)
+//! makes the run *crash-safe*: checkpoints are written as checksummed
+//! on-disk records keyed by the run's [`RunFingerprint`] (method, seed,
+//! config, data), and a re-run with the same options silently resumes from
+//! the latest valid record — after a crash, a torn write, or a corrupted
+//! record, whatever state survives validation is picked up and the rest is
+//! recomputed, bit-identically.
+//! [`with_auto_checkpoint`](ImportanceRun::with_auto_checkpoint) sets how
+//! many estimator steps may elapse between records.
 //!
-//! Each entry point delegates to its method module's crate-private engine
-//! (`tmc_engine`, `banzhaf_engine_budgeted`, `beta_shapley_engine_budgeted`,
-//! `knn_engine`); the run API is the only public surface.
+//! Each Monte-Carlo entry point hands its method module's crate-private
+//! engine (`tmc_engine`, `banzhaf_engine_budgeted`,
+//! `beta_shapley_engine_budgeted`) to one generic driver over the engine's
+//! [`Snapshot`] type; `knn_shapley` calls `knn_engine` directly. The run
+//! API is the only public surface.
 
 use crate::banzhaf::{banzhaf_engine_budgeted, BanzhafConfig};
 use crate::batch::{BatchPolicy, BatchStats};
 use crate::beta_shapley::{beta_shapley_engine_budgeted, BetaShapleyConfig};
 use crate::common::ImportanceScores;
 use crate::knn_shapley::knn_engine;
-use crate::shapley_mc::{tmc_engine, ShapleyConfig, TMC_METHOD};
-use crate::snapshot::EstimatorCheckpoint;
+use crate::shapley_mc::{tmc_engine, ShapleyConfig};
 use crate::{ImportanceError, Result};
 use nde_data::fxhash::FxHasher;
 use nde_data::json::Json;
@@ -76,7 +81,7 @@ use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{MemoCache, WorkerPool};
 use nde_robust::{
-    ConvergenceDiagnostics, Exhaustion, McCheckpoint, RunBudget, RunFingerprint, RunStore,
+    ConvergenceDiagnostics, Exhaustion, RunBudget, RunFingerprint, RunStore, Snapshot,
 };
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -106,17 +111,14 @@ pub struct ImportanceRun<'a> {
     /// `(model, train, valid)` triple. Hits still count as logical utility
     /// calls, so budget trip points are cache-independent.
     pub cache: Option<&'a MemoCache>,
-    /// Optional TMC-Shapley checkpoint to resume from. Kept as typed sugar
-    /// for TMC callers; the method-erased [`ImportanceRun::resume`] covers
-    /// every resumable method. Takes precedence over `resume`.
-    pub checkpoint: Option<&'a McCheckpoint>,
-    /// Optional method-erased snapshot to resume from (any Monte-Carlo
-    /// method). Resuming is bit-identical to never stopping.
-    pub resume: Option<&'a EstimatorCheckpoint>,
+    /// Optional snapshot payload to resume from (`report.snapshot` of an
+    /// earlier run of the same method and configuration). Resuming is
+    /// bit-identical to never stopping.
+    pub resume: Option<&'a Json>,
     /// Optional durable store. When set, checkpoints are persisted as
     /// crash-safe records under the run's [`RunFingerprint`] and the run
     /// auto-resumes from the latest valid record (unless an explicit
-    /// `checkpoint`/`resume` is given, which wins).
+    /// `resume` is given, which wins).
     pub store: Option<&'a RunStore>,
     /// With a store attached: write a record every this-many estimator
     /// steps (permutations / subset samples / points). `None` writes one
@@ -140,7 +142,6 @@ impl<'a> ImportanceRun<'a> {
             threads: 1,
             budget: None,
             cache: None,
-            checkpoint: None,
             resume: None,
             store: None,
             auto_checkpoint_every: None,
@@ -180,20 +181,12 @@ impl<'a> ImportanceRun<'a> {
         self
     }
 
-    /// Resume from a TMC-Shapley checkpoint of an earlier, interrupted run.
-    /// Resuming is bit-identical to never stopping. Non-TMC methods reject
-    /// this with a checkpoint-mismatch error; use
-    /// [`with_resume`](ImportanceRun::with_resume) for them.
-    pub fn with_checkpoint(mut self, checkpoint: &'a McCheckpoint) -> ImportanceRun<'a> {
-        self.checkpoint = Some(checkpoint);
-        self
-    }
-
-    /// Resume from the method-erased snapshot of an earlier, interrupted
-    /// run (`report.snapshot`). Resuming is bit-identical to never
-    /// stopping; a snapshot written by a different method or run shape is
-    /// rejected with [`ImportanceError::Checkpoint`].
-    pub fn with_resume(mut self, snapshot: &'a EstimatorCheckpoint) -> ImportanceRun<'a> {
+    /// Resume from the snapshot payload of an earlier, interrupted run
+    /// (`report.snapshot`, or a store record's payload). Resuming is
+    /// bit-identical to never stopping; a snapshot written by a different
+    /// method or run configuration is rejected with
+    /// [`ImportanceError::Checkpoint`].
+    pub fn with_resume(mut self, snapshot: &'a Json) -> ImportanceRun<'a> {
         self.resume = Some(snapshot);
         self
     }
@@ -224,7 +217,7 @@ impl<'a> ImportanceRun<'a> {
     fn reject_resumability(&self, method: &str) -> Result<()> {
         let offending = if self.budget.is_some() {
             Some("budgets")
-        } else if self.checkpoint.is_some() || self.resume.is_some() {
+        } else if self.resume.is_some() {
             Some("checkpoint resume")
         } else if self.store.is_some() || self.auto_checkpoint_every.is_some() {
             Some("a durable store")
@@ -257,12 +250,11 @@ pub struct RunReport {
     pub fallback_evals: u64,
     /// Convergence diagnostics (methods with a budget clock).
     pub diagnostics: Option<ConvergenceDiagnostics>,
-    /// TMC-Shapley snapshot to pass to [`ImportanceRun::with_checkpoint`]
-    /// (TMC runs only; other methods report through `snapshot`).
-    pub checkpoint: Option<McCheckpoint>,
-    /// Method-erased snapshot to pass to [`ImportanceRun::with_resume`] to
-    /// continue this estimation (every Monte-Carlo method).
-    pub snapshot: Option<EstimatorCheckpoint>,
+    /// Snapshot payload to pass to [`ImportanceRun::with_resume`] to
+    /// continue this estimation (every Monte-Carlo method). Decode it with
+    /// the method's [`Snapshot`] type (e.g.
+    /// [`McCheckpoint`](nde_robust::McCheckpoint)) to inspect it.
+    pub snapshot: Option<Json>,
     /// Identity the durable records were stored under (runs with a store).
     pub fingerprint: Option<RunFingerprint>,
 }
@@ -276,7 +268,6 @@ impl RunReport {
             batched_evals: stats.batched_evals,
             fallback_evals: stats.fallback_evals,
             diagnostics: None,
-            checkpoint: None,
             snapshot: None,
             fingerprint: None,
         }
@@ -360,57 +351,54 @@ fn data_fingerprint(train: &Dataset, valid: &Dataset) -> u64 {
     h.finish()
 }
 
-/// Resolve what the run resumes from, in precedence order: the typed TMC
-/// checkpoint, the method-erased snapshot, then the store's latest valid
-/// record. A snapshot written by a different method is a typed
-/// [`ImportanceError::Checkpoint`] — never silently ignored.
-fn resolve_resume(
-    run: &ImportanceRun,
-    fingerprint: Option<&RunFingerprint>,
-    method: &str,
-) -> Result<Option<EstimatorCheckpoint>> {
-    if let Some(cp) = run.checkpoint {
-        if method != TMC_METHOD {
-            return Err(ImportanceError::Checkpoint(format!(
-                "`with_checkpoint` carries a `{TMC_METHOD}` checkpoint but this run is \
-                 `{method}`; resume it with `with_resume`"
-            )));
-        }
-        return Ok(Some(EstimatorCheckpoint::Tmc(cp.clone())));
-    }
-    if let Some(snap) = run.resume {
-        if snap.method() != method {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `{method}`",
-                snap.method()
-            )));
-        }
-        return Ok(Some(snap.clone()));
-    }
-    let (Some(store), Some(fp)) = (run.store, fingerprint) else {
-        return Ok(None);
-    };
-    let Some(record) = store.latest_valid(fp)? else {
-        return Ok(None);
-    };
-    let snap = EstimatorCheckpoint::from_payload(&record.payload)?;
-    if snap.method() != method {
-        return Err(ImportanceError::Checkpoint(format!(
-            "store record at step {} was written by `{}` but this run is `{method}`",
-            record.step,
-            snap.method()
-        )));
-    }
-    Ok(Some(snap))
+/// What a resumable engine returns for one segment: best-so-far scores,
+/// budget diagnostics, and the snapshot to continue from.
+pub(crate) struct EngineRun<S> {
+    pub scores: ImportanceScores,
+    pub diagnostics: ConvergenceDiagnostics,
+    pub checkpoint: S,
 }
 
-/// Warm the memo cache from the store's persisted copy (corrupt or missing
-/// copies degrade to a cold cache inside [`RunStore::load_memo`]).
-fn preload_memo(run: &ImportanceRun, fingerprint: Option<&RunFingerprint>) -> Result<()> {
-    if let (Some(store), Some(cache), Some(fp)) = (run.store, run.cache, fingerprint) {
+/// The one driver behind every Monte-Carlo entry point. It fingerprints the
+/// run (store runs only: the data fingerprint is not computed otherwise),
+/// resolves what the run resumes from — an explicit `resume` payload wins
+/// over the store's latest valid record, and both go through the same
+/// [`Snapshot::from_payload`] decode — warms the memo cache from the store,
+/// drives `engine` in durable segments and reports. `config` renders every
+/// knob that changes the trajectory; `total` is the step count of a
+/// finished run.
+fn run_resumable<S: Snapshot>(
+    run: &ImportanceRun,
+    train: &Dataset,
+    valid: &Dataset,
+    config: String,
+    total: u64,
+    engine: impl FnMut(&RunBudget, Option<&S>) -> Result<(EngineRun<S>, BatchStats)>,
+) -> Result<ImportanceOutcome> {
+    let fp = run
+        .store
+        .map(|_| RunFingerprint::new(S::METHOD, run.seed, config, data_fingerprint(train, valid)));
+    let resume = match (run.resume, run.store, &fp) {
+        (Some(payload), _, _) => Some(S::from_payload(payload)?),
+        (None, Some(store), Some(fp)) => store
+            .latest_valid(fp)?
+            .map(|record| S::from_payload(&record.payload))
+            .transpose()?,
+        _ => None,
+    };
+    if let (Some(store), Some(cache), Some(fp)) = (run.store, run.cache, &fp) {
+        // Corrupt or missing copies degrade to a cold cache.
         store.load_memo(fp, cache)?;
     }
-    Ok(())
+    let (out, stats) = drive(run, fp.as_ref(), total, resume, engine)?;
+    let mut report = RunReport::from_stats(out.diagnostics.utility_calls, stats);
+    report.diagnostics = Some(out.diagnostics);
+    report.snapshot = Some(out.checkpoint.to_payload());
+    report.fingerprint = fp;
+    Ok(ImportanceOutcome {
+        scores: out.scores,
+        report,
+    })
 }
 
 /// Which *base*-budget limit, if any, the run has hit — segment-clamped
@@ -450,28 +438,19 @@ fn base_exhaustion(
 /// budget overshoot can lose. Termination: every segment either advances
 /// the cursor by at least one step or trips a base-budget limit, and both
 /// paths exit the loop.
-#[allow(clippy::too_many_arguments)] // one slot per engine-surface concern
-fn drive<S, F>(
+fn drive<S: Snapshot>(
     run: &ImportanceRun,
     fingerprint: Option<&RunFingerprint>,
     total: u64,
-    cursor_of: impl Fn(&S) -> u64,
-    payload_of: impl Fn(&S) -> Json,
     mut resume: Option<S>,
-    mut segment: F,
-) -> Result<(ImportanceScores, ConvergenceDiagnostics, S, BatchStats)>
-where
-    F: FnMut(
-        &RunBudget,
-        Option<&S>,
-    ) -> Result<(ImportanceScores, ConvergenceDiagnostics, S, BatchStats)>,
-{
+    mut segment: impl FnMut(&RunBudget, Option<&S>) -> Result<(EngineRun<S>, BatchStats)>,
+) -> Result<(EngineRun<S>, BatchStats)> {
     let unlimited = RunBudget::unlimited();
     let base = run.budget.as_ref().unwrap_or(&unlimited);
     let started = Instant::now();
     let mut stats_total = BatchStats::default();
     loop {
-        let done = resume.as_ref().map_or(0, &cursor_of);
+        let done = resume.as_ref().map_or(0, S::step);
         let mut seg_budget = base.clone();
         if let Some(every) = run.auto_checkpoint_every {
             let cap = done.saturating_add(every.max(1));
@@ -480,35 +459,35 @@ where
         if let Some(wall) = base.wall_clock {
             seg_budget.wall_clock = Some(wall.saturating_sub(started.elapsed()));
         }
-        let (scores, mut diagnostics, state, stats) = segment(&seg_budget, resume.as_ref())?;
+        let (mut out, stats) = segment(&seg_budget, resume.as_ref())?;
         stats_total.merge(&stats);
+        let step = out.checkpoint.step();
         if let (Some(store), Some(fp)) = (run.store, fingerprint) {
-            store.save_checkpoint(fp, cursor_of(&state), &payload_of(&state))?;
+            store.save_checkpoint(fp, step, &out.checkpoint.to_payload())?;
             if let Some(cache) = run.cache {
                 store.save_memo(fp, cache)?;
             }
         }
-        let finished = cursor_of(&state) >= total;
-        let tripped = base_exhaustion(base, &diagnostics, started.elapsed());
-        if finished || tripped.is_some() || run.auto_checkpoint_every.is_none() {
+        let tripped = base_exhaustion(base, &out.diagnostics, started.elapsed());
+        if step >= total || tripped.is_some() || run.auto_checkpoint_every.is_none() {
             if run.auto_checkpoint_every.is_some() {
                 // The last segment's clock saw a clamped budget and only its
                 // own slice of wall time; report against the caller's budget.
-                diagnostics.exhausted = tripped;
-                diagnostics.elapsed = started.elapsed();
+                out.diagnostics.exhausted = tripped;
+                out.diagnostics.elapsed = started.elapsed();
             }
-            return Ok((scores, diagnostics, state, stats_total));
+            return Ok((out, stats_total));
         }
-        resume = Some(state);
+        resume = Some(out.checkpoint);
     }
 }
 
 /// Truncated Monte-Carlo Data Shapley through the unified run options.
 ///
 /// Honors every [`ImportanceRun`] option: budgets stop the run per utility
-/// call, `report.checkpoint`/`report.snapshot` resume it bit-identically,
-/// a store makes it crash-safe, and `report.diagnostics` carries the
-/// authoritative clock counters.
+/// call, `report.snapshot` resumes it bit-identically (mid-permutation
+/// included), a store makes it crash-safe, and `report.diagnostics`
+/// carries the authoritative clock counters.
 pub fn tmc_shapley<C>(
     run: &ImportanceRun,
     template: &C,
@@ -525,37 +504,17 @@ where
         seed: run.seed,
         threads: run.threads,
     };
-    let fp = run.store.map(|_| {
-        RunFingerprint::new(
-            TMC_METHOD,
-            run.seed,
-            format!(
-                "permutations={};truncation_tolerance={}",
-                params.permutations, params.truncation_tolerance
-            ),
-            data_fingerprint(train, valid),
-        )
-    });
-    let resume = match resolve_resume(run, fp.as_ref(), TMC_METHOD)? {
-        Some(EstimatorCheckpoint::Tmc(c)) => Some(c),
-        Some(other) => {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `{TMC_METHOD}`",
-                other.method()
-            )))
-        }
-        None => None,
-    };
-    preload_memo(run, fp.as_ref())?;
-    let (scores, diagnostics, state, stats) = drive(
+    run_resumable(
         run,
-        fp.as_ref(),
+        train,
+        valid,
+        format!(
+            "permutations={};truncation_tolerance={}",
+            params.permutations, params.truncation_tolerance
+        ),
         params.permutations as u64,
-        |s: &McCheckpoint| s.cursor,
-        McCheckpoint::to_payload,
-        resume,
         |budget, resume| {
-            let (result, stats) = tmc_engine(
+            tmc_engine(
                 template,
                 train,
                 valid,
@@ -565,16 +524,9 @@ where
                 run.cache,
                 run.batch,
                 &run.pool_handle(),
-            )?;
-            Ok((result.scores, result.diagnostics, result.checkpoint, stats))
+            )
         },
-    )?;
-    let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
-    report.diagnostics = Some(diagnostics);
-    report.checkpoint = Some(state.clone());
-    report.snapshot = Some(EstimatorCheckpoint::Tmc(state));
-    report.fingerprint = fp;
-    Ok(ImportanceOutcome { scores, report })
+    )
 }
 
 /// Data Banzhaf (maximum-sample-reuse estimator) through the unified run
@@ -595,34 +547,14 @@ where
         seed: run.seed,
         threads: run.threads,
     };
-    let fp = run.store.map(|_| {
-        RunFingerprint::new(
-            "banzhaf",
-            run.seed,
-            format!("samples={}", params.samples),
-            data_fingerprint(train, valid),
-        )
-    });
-    let resume = match resolve_resume(run, fp.as_ref(), "banzhaf")? {
-        Some(EstimatorCheckpoint::Banzhaf(c)) => Some(c),
-        Some(other) => {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `banzhaf`",
-                other.method()
-            )))
-        }
-        None => None,
-    };
-    preload_memo(run, fp.as_ref())?;
-    let (scores, diagnostics, state, stats) = drive(
+    run_resumable(
         run,
-        fp.as_ref(),
+        train,
+        valid,
+        format!("samples={}", params.samples),
         params.samples as u64,
-        |s: &crate::snapshot::BanzhafCheckpoint| s.cursor,
-        crate::snapshot::BanzhafCheckpoint::to_payload,
-        resume,
         |budget, resume| {
-            let (result, stats) = banzhaf_engine_budgeted(
+            banzhaf_engine_budgeted(
                 template,
                 train,
                 valid,
@@ -632,15 +564,9 @@ where
                 run.cache,
                 run.batch,
                 &run.pool_handle(),
-            )?;
-            Ok((result.scores, result.diagnostics, result.checkpoint, stats))
+            )
         },
-    )?;
-    let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
-    report.diagnostics = Some(diagnostics);
-    report.snapshot = Some(EstimatorCheckpoint::Banzhaf(state));
-    report.fingerprint = fp;
-    Ok(ImportanceOutcome { scores, report })
+    )
 }
 
 /// Beta(α, β) semivalues through the unified run options. Budgets stop the
@@ -663,37 +589,17 @@ where
         seed: run.seed,
         threads: run.threads,
     };
-    let fp = run.store.map(|_| {
-        RunFingerprint::new(
-            "beta-shapley",
-            run.seed,
-            format!(
-                "alpha={};beta={};samples_per_point={}",
-                params.alpha, params.beta, params.samples_per_point
-            ),
-            data_fingerprint(train, valid),
-        )
-    });
-    let resume = match resolve_resume(run, fp.as_ref(), "beta-shapley")? {
-        Some(EstimatorCheckpoint::BetaShapley(c)) => Some(c),
-        Some(other) => {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `beta-shapley`",
-                other.method()
-            )))
-        }
-        None => None,
-    };
-    preload_memo(run, fp.as_ref())?;
-    let (scores, diagnostics, state, stats) = drive(
+    run_resumable(
         run,
-        fp.as_ref(),
+        train,
+        valid,
+        format!(
+            "alpha={};beta={};samples_per_point={}",
+            params.alpha, params.beta, params.samples_per_point
+        ),
         train.len() as u64,
-        |s: &crate::snapshot::BetaShapleyCheckpoint| s.cursor,
-        crate::snapshot::BetaShapleyCheckpoint::to_payload,
-        resume,
         |budget, resume| {
-            let (result, stats) = beta_shapley_engine_budgeted(
+            beta_shapley_engine_budgeted(
                 template,
                 train,
                 valid,
@@ -703,15 +609,9 @@ where
                 run.cache,
                 run.batch,
                 &run.pool_handle(),
-            )?;
-            Ok((result.scores, result.diagnostics, result.checkpoint, stats))
+            )
         },
-    )?;
-    let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
-    report.diagnostics = Some(diagnostics);
-    report.snapshot = Some(EstimatorCheckpoint::BetaShapley(state));
-    report.fingerprint = fp;
-    Ok(ImportanceOutcome { scores, report })
+    )
 }
 
 /// Exact, closed-form KNN-Shapley through the unified run options.
@@ -741,7 +641,9 @@ mod tests {
     // delegate to: the run API must match the engine output bit-for-bit.
     use super::*;
     use crate::shapley_mc::tmc_engine;
+    use crate::snapshot::{BanzhafCheckpoint, BetaShapleyCheckpoint};
     use nde_ml::models::knn::KnnClassifier;
+    use nde_robust::McCheckpoint;
 
     fn toy() -> (Dataset, Dataset) {
         let train = Dataset::from_rows(
@@ -810,7 +712,8 @@ mod tests {
             unified.report.utility_calls,
             legacy.diagnostics.utility_calls
         );
-        assert_eq!(unified.report.checkpoint.unwrap(), legacy.checkpoint);
+        let snapshot = McCheckpoint::from_payload(&unified.report.snapshot.unwrap()).unwrap();
+        assert_eq!(snapshot, legacy.checkpoint);
     }
 
     #[test]
@@ -831,27 +734,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cut.report.utility_calls, 17);
-        let ckpt = cut.report.checkpoint.unwrap();
-        let resumed = tmc_shapley(
-            &ImportanceRun::new(3).with_checkpoint(&ckpt),
-            &knn,
-            &train,
-            &valid,
-            &params,
-        )
-        .unwrap();
-        assert_eq!(resumed.scores, full.scores);
-        // The method-erased snapshot resumes identically.
         let snap = cut.report.snapshot.unwrap();
-        let resumed = tmc_shapley(
-            &ImportanceRun::new(3).with_resume(&snap),
-            &knn,
-            &train,
-            &valid,
-            &params,
-        )
-        .unwrap();
+        let resume = ImportanceRun::new(3).with_resume(&snap);
+        let resumed = tmc_shapley(&resume, &knn, &train, &valid, &params).unwrap();
         assert_eq!(resumed.scores, full.scores);
+        // The tolerance decides where every walk stops: a snapshot cut at
+        // 0.0 is refused by a run at 0.5 (no store needed to catch it).
+        let other = TmcParams {
+            truncation_tolerance: 0.5,
+            ..params
+        };
+        assert!(matches!(
+            tmc_shapley(&resume, &knn, &train, &valid, &other),
+            Err(ImportanceError::Checkpoint(m)) if m.contains("truncation_tolerance")
+        ));
     }
 
     #[test]
@@ -891,7 +787,7 @@ mod tests {
         .unwrap();
         assert_eq!(cut.report.utility_calls, 40);
         let snap = cut.report.snapshot.unwrap();
-        assert!(snap.step() < 100);
+        assert!(BanzhafCheckpoint::from_payload(&snap).unwrap().step() < 100);
         let resumed = banzhaf(
             &run.clone().with_resume(&snap),
             &knn,
@@ -935,7 +831,10 @@ mod tests {
         )
         .unwrap();
         let snap = cut.report.snapshot.unwrap();
-        assert_eq!(snap.step(), 2);
+        assert_eq!(
+            BetaShapleyCheckpoint::from_payload(&snap).unwrap().step(),
+            2
+        );
         let resumed = beta_shapley(
             &run.clone().with_resume(&snap),
             &knn,
@@ -947,7 +846,7 @@ mod tests {
         assert_eq!(resumed.scores, full.scores);
 
         // A snapshot can never cross methods: the Banzhaf run's snapshot is
-        // rejected by beta_shapley, and a TMC `with_checkpoint` by banzhaf.
+        // rejected by beta_shapley, and a TMC snapshot by banzhaf.
         let banzhaf_snap = full_banzhaf_snapshot(&run, &knn, &train, &valid);
         assert!(matches!(
             beta_shapley(
@@ -959,10 +858,10 @@ mod tests {
             ),
             Err(ImportanceError::Checkpoint(_))
         ));
-        let tmc = McCheckpoint::fresh(TMC_METHOD, 7, train.len());
+        let tmc = McCheckpoint::fresh(7, train.len(), 0.0).to_payload();
         assert!(matches!(
             banzhaf(
-                &run.clone().with_checkpoint(&tmc),
+                &run.clone().with_resume(&tmc),
                 &knn,
                 &train,
                 &valid,
@@ -977,7 +876,7 @@ mod tests {
         knn: &KnnClassifier,
         train: &Dataset,
         valid: &Dataset,
-    ) -> EstimatorCheckpoint {
+    ) -> Json {
         banzhaf(run, knn, train, valid, &BanzhafParams { samples: 100 })
             .unwrap()
             .report
@@ -1009,7 +908,7 @@ mod tests {
         )
         .unwrap();
         let fp = cut.report.fingerprint.clone().unwrap();
-        assert_eq!(fp.method, TMC_METHOD);
+        assert_eq!(fp.method, McCheckpoint::METHOD);
         assert!(cut.report.diagnostics.as_ref().unwrap().iterations < 12);
         assert!(!store.record_paths(&fp).unwrap().is_empty());
 
@@ -1113,11 +1012,10 @@ mod tests {
             knn_shapley(&ImportanceRun::new(0).with_threads(3), &train, &valid, 2).unwrap();
         assert_eq!(unified.scores, legacy);
         assert_eq!(unified.report.utility_calls, 0);
-        assert!(unified.report.checkpoint.is_none());
         assert!(unified.report.snapshot.is_none());
 
-        let ckpt = McCheckpoint::fresh("tmc-shapley", 0, train.len());
-        let resuming = ImportanceRun::new(0).with_checkpoint(&ckpt);
+        let ckpt = McCheckpoint::fresh(0, train.len(), 0.0).to_payload();
+        let resuming = ImportanceRun::new(0).with_resume(&ckpt);
         assert!(matches!(
             knn_shapley(&resuming, &train, &valid, 2),
             Err(ImportanceError::Unsupported(_))

@@ -46,15 +46,14 @@
 
 use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
 use crate::common::{non_finite_feature, ImportanceScores};
+use crate::run::EngineRun;
 use crate::{ImportanceError, Result};
 use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{AtomicBudgetClock, CostHint, MemoCache, WorkerFailure, WorkerPool};
-use nde_robust::{
-    BudgetClock, ConvergenceDiagnostics, InflightPermutation, McCheckpoint, RunBudget,
-};
+use nde_robust::{BudgetClock, InflightPermutation, McCheckpoint, RunBudget, Snapshot};
 use std::sync::atomic::AtomicBool;
 
 /// Configuration for the TMC-Shapley estimator.
@@ -81,22 +80,6 @@ impl Default for ShapleyConfig {
     }
 }
 
-/// Result of a budget-aware TMC-Shapley run: the (possibly best-so-far)
-/// scores, how far the run got, and a checkpoint to resume from.
-#[derive(Debug, Clone)]
-pub struct BudgetedShapley {
-    /// Shapley estimates, averaged over the permutations completed so far.
-    pub scores: ImportanceScores,
-    /// How much work was done and whether a budget limit stopped the run.
-    pub diagnostics: ConvergenceDiagnostics,
-    /// Snapshot to pass back as `resume` to continue the same estimation.
-    /// Resuming an interrupted run is bit-identical to never interrupting.
-    pub checkpoint: McCheckpoint,
-}
-
-/// Method tag used in budgeted TMC-Shapley checkpoints.
-pub(crate) const TMC_METHOD: &str = "tmc-shapley";
-
 /// The budget-aware, resumable, batch-capable TMC-Shapley engine behind
 /// the [`tmc_shapley()`](crate::run::tmc_shapley) entry point.
 ///
@@ -122,7 +105,7 @@ pub(crate) fn tmc_engine<C>(
     cache: Option<&MemoCache>,
     policy: BatchPolicy,
     pool: &WorkerPool,
-) -> Result<(BudgetedShapley, BatchStats)>
+) -> Result<(EngineRun<McCheckpoint>, BatchStats)>
 where
     C: Classifier + Send + Sync,
 {
@@ -143,18 +126,19 @@ where
     let total = config.permutations as u64;
     let mut state = match resume {
         Some(cp) => {
-            cp.validate()
-                .map_err(|e| ImportanceError::Checkpoint(e.to_string()))?;
-            if cp.method != TMC_METHOD {
+            cp.validate()?;
+            if cp.seed != config.seed
+                || cp.n != n
+                || cp.truncation_tolerance.to_bits() != config.truncation_tolerance.to_bits()
+            {
                 return Err(ImportanceError::Checkpoint(format!(
-                    "checkpoint is for method `{}`, not `{TMC_METHOD}`",
-                    cp.method
-                )));
-            }
-            if cp.seed != config.seed || cp.n != n {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "checkpoint (seed {}, n {}) does not match run (seed {}, n {n})",
-                    cp.seed, cp.n, config.seed
+                    "checkpoint (seed {}, n {}, truncation_tolerance {}) does not match run \
+                     (seed {}, n {n}, truncation_tolerance {})",
+                    cp.seed,
+                    cp.n,
+                    cp.truncation_tolerance,
+                    config.seed,
+                    config.truncation_tolerance
                 )));
             }
             if cp.cursor > total || (cp.cursor == total && cp.inflight.is_some()) {
@@ -165,7 +149,7 @@ where
             }
             cp.clone()
         }
-        None => McCheckpoint::fresh(TMC_METHOD, config.seed, n),
+        None => McCheckpoint::fresh(config.seed, n, config.truncation_tolerance),
     };
 
     let batcher = UtilityBatcher::new(template, train, valid, cache, policy);
@@ -299,8 +283,8 @@ where
 
     let stats = batcher.stats();
     Ok((
-        BudgetedShapley {
-            scores: ImportanceScores::new(TMC_METHOD, values),
+        EngineRun {
+            scores: ImportanceScores::new(McCheckpoint::METHOD, values),
             diagnostics: clock.diagnostics(max_se),
             checkpoint: state,
         },
@@ -470,6 +454,7 @@ fn walk_permutation<C: Classifier>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nde_data::json::Json;
     use nde_ml::models::knn::KnnClassifier;
 
     // The long-standing behavioral suite pins the engine through thin
@@ -499,7 +484,7 @@ mod tests {
         config: &ShapleyConfig,
         budget: &RunBudget,
         resume: Option<&McCheckpoint>,
-    ) -> Result<BudgetedShapley> {
+    ) -> Result<EngineRun<McCheckpoint>> {
         tmc_shapley_budgeted_cached(template, train, valid, config, budget, resume, None)
     }
 
@@ -512,7 +497,7 @@ mod tests {
         budget: &RunBudget,
         resume: Option<&McCheckpoint>,
         cache: Option<&MemoCache>,
-    ) -> Result<BudgetedShapley> {
+    ) -> Result<EngineRun<McCheckpoint>> {
         tmc_engine(
             template,
             train,
@@ -525,6 +510,13 @@ mod tests {
             &WorkerPool::shared(),
         )
         .map(|(run, _)| run)
+    }
+
+    /// A checkpoint's trip through its payload text, as a store record
+    /// would carry it.
+    fn through_text(ckpt: &McCheckpoint) -> McCheckpoint {
+        let text = ckpt.to_payload().to_string_pretty();
+        McCheckpoint::from_payload(&Json::parse(&text).unwrap()).unwrap()
     }
 
     fn toy() -> (Dataset, Dataset) {
@@ -753,7 +745,7 @@ mod tests {
             tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &RunBudget::unlimited(), None)
                 .unwrap();
         // Stop after 11 permutations, round-trip the checkpoint through
-        // JSON, then finish the remaining 19.
+        // its payload text, then finish the remaining 19.
         let first = tmc_shapley_budgeted(
             &knn,
             &train,
@@ -764,7 +756,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(first.checkpoint.cursor, 11);
-        let restored = McCheckpoint::from_json(&first.checkpoint.to_json()).unwrap();
+        let restored = through_text(&first.checkpoint);
         assert_eq!(restored, first.checkpoint);
         let resumed = tmc_shapley_budgeted(
             &knn,
@@ -813,7 +805,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(partial.checkpoint.utility_calls, max_calls);
-            let restored = McCheckpoint::from_json(&partial.checkpoint.to_json()).unwrap();
+            let restored = through_text(&partial.checkpoint);
             let resumed = tmc_shapley_budgeted(
                 &knn,
                 &train,
@@ -924,7 +916,7 @@ mod tests {
         let (train, valid) = toy();
         let cfg = budget_cfg(10);
         let knn = KnnClassifier::new(1);
-        let other = McCheckpoint::fresh("tmc-shapley", 999, train.len());
+        let other = McCheckpoint::fresh(999, train.len(), cfg.truncation_tolerance);
         let err = tmc_shapley_budgeted(
             &knn,
             &train,
@@ -934,7 +926,8 @@ mod tests {
             Some(&other),
         );
         assert!(matches!(err, Err(ImportanceError::Checkpoint(_))));
-        let wrong_method = McCheckpoint::fresh("zorro", cfg.seed, train.len());
+        // A different truncation tolerance stops every walk elsewhere.
+        let other_tolerance = McCheckpoint::fresh(cfg.seed, train.len(), 0.5);
         assert!(matches!(
             tmc_shapley_budgeted(
                 &knn,
@@ -942,7 +935,7 @@ mod tests {
                 &valid,
                 &cfg,
                 &RunBudget::unlimited(),
-                Some(&wrong_method)
+                Some(&other_tolerance)
             ),
             Err(ImportanceError::Checkpoint(_))
         ));

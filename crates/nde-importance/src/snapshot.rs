@@ -1,88 +1,16 @@
 //! Resumable snapshots for the non-TMC Monte-Carlo estimators.
 //!
-//! [`McCheckpoint`] covers the permutation-walk
+//! [`McCheckpoint`](nde_robust::McCheckpoint) covers the permutation-walk
 //! state of TMC-Shapley; Banzhaf MSR and Beta Shapley accumulate different
-//! partial state (subset-sample sums, per-point values). These types give
-//! them the same durable form: a validated struct that converts to and from
-//! a [`Json`] payload so every estimator checkpoints through the same
-//! [`RunStore`](nde_robust::RunStore) records.
-//!
-//! All float fields round-trip bit-identically (shortest-round-trip
-//! serialization via [`nde_data::json`]) and are rejected when non-finite —
-//! the same hardening contract as `McCheckpoint`: a `1e999` smuggled into a
-//! running sum must fail parsing, never poison a resumed fold.
+//! partial state (subset-sample sums, per-point values). Both implement the
+//! same [`Snapshot`] contract, so every estimator resumes and checkpoints
+//! through the same payload codec and [`RunStore`](nde_robust::RunStore)
+//! records.
 
 use crate::banzhaf::BanzhafConfig;
 use crate::beta_shapley::BetaShapleyConfig;
 use crate::{ImportanceError, Result};
-use nde_data::json::{Json, ToJson};
-use nde_robust::McCheckpoint;
-
-fn field<'a>(doc: &'a Json, name: &str) -> Result<&'a Json> {
-    doc.get(name)
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("missing field `{name}`")))
-}
-
-fn uint(doc: &Json, name: &str) -> Result<u64> {
-    field(doc, name)?
-        .as_u64()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not an integer")))
-}
-
-fn finite(doc: &Json, name: &str) -> Result<f64> {
-    let v = field(doc, name)?
-        .as_f64()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not a number")))?;
-    if !v.is_finite() {
-        return Err(ImportanceError::Checkpoint(format!(
-            "`{name}` is not a finite number"
-        )));
-    }
-    Ok(v)
-}
-
-fn finite_vec(doc: &Json, name: &str) -> Result<Vec<f64>> {
-    let arr = field(doc, name)?
-        .as_arr()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not an array")))?;
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, v) in arr.iter().enumerate() {
-        let v = v
-            .as_f64()
-            .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}[{i}]` is not a number")))?;
-        if !v.is_finite() {
-            return Err(ImportanceError::Checkpoint(format!(
-                "`{name}[{i}]` is not a finite number"
-            )));
-        }
-        out.push(v);
-    }
-    Ok(out)
-}
-
-fn uint_vec(doc: &Json, name: &str) -> Result<Vec<u64>> {
-    field(doc, name)?
-        .as_arr()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` holds a non-integer")))
-        })
-        .collect()
-}
-
-fn check_method(doc: &Json, expected: &str) -> Result<()> {
-    let method = field(doc, "method")?
-        .as_str()
-        .ok_or_else(|| ImportanceError::Checkpoint("`method` is not a string".into()))?;
-    if method != expected {
-        return Err(ImportanceError::Checkpoint(format!(
-            "snapshot written by `{method}`, expected `{expected}`"
-        )));
-    }
-    Ok(())
-}
+use nde_robust::{RobustError, Snapshot};
 
 /// Partial state of a Banzhaf MSR estimation: subset samples `0..cursor`
 /// folded into the conditional sums. Resume continues the fold at `cursor`,
@@ -125,48 +53,6 @@ impl BanzhafCheckpoint {
         }
     }
 
-    /// Internal consistency: vector lengths, cursor bounds, finite floats,
-    /// and per-point counts summing to the cursor.
-    pub fn validate(&self) -> Result<()> {
-        let lens = [
-            self.with_sum.len(),
-            self.with_count.len(),
-            self.without_sum.len(),
-            self.without_count.len(),
-        ];
-        if lens.iter().any(|&l| l != self.n) {
-            return Err(ImportanceError::Checkpoint(format!(
-                "snapshot claims n={} but holds sum/count vectors of lengths {lens:?}",
-                self.n
-            )));
-        }
-        if self.cursor > self.samples {
-            return Err(ImportanceError::Checkpoint(format!(
-                "cursor {} exceeds configured samples {}",
-                self.cursor, self.samples
-            )));
-        }
-        for (name, values) in [
-            ("with_sum", &self.with_sum),
-            ("without_sum", &self.without_sum),
-        ] {
-            if let Some(i) = values.iter().position(|v| !v.is_finite()) {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "`{name}[{i}]` is not a finite number"
-                )));
-            }
-        }
-        for i in 0..self.n {
-            if self.with_count[i] + self.without_count[i] != self.cursor {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "point {i} counts {} + {} do not sum to cursor {}",
-                    self.with_count[i], self.without_count[i], self.cursor
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Reject a snapshot that was written by a differently-shaped run.
     pub fn validate_against(&self, config: &BanzhafConfig, n: usize) -> Result<()> {
         self.validate()?;
@@ -199,46 +85,58 @@ impl BanzhafCheckpoint {
             })
             .collect()
     }
+}
 
-    /// The snapshot as a durable-store payload.
-    pub fn to_payload(&self) -> Json {
-        Json::Obj(vec![
-            ("method".into(), Json::Str("banzhaf".into())),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("n".into(), Json::UInt(self.n as u64)),
-            ("samples".into(), Json::UInt(self.samples)),
-            ("cursor".into(), Json::UInt(self.cursor)),
-            ("utility_calls".into(), Json::UInt(self.utility_calls)),
-            ("with_sum".into(), self.with_sum.to_json()),
-            (
-                "with_count".into(),
-                Json::Arr(self.with_count.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            ("without_sum".into(), self.without_sum.to_json()),
-            (
-                "without_count".into(),
-                Json::Arr(self.without_count.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-        ])
+impl Snapshot for BanzhafCheckpoint {
+    const METHOD: &'static str = "banzhaf";
+
+    fn step(&self) -> u64 {
+        self.cursor
     }
 
-    /// Reconstruct and validate a snapshot from a durable-store payload.
-    pub fn from_payload(doc: &Json) -> Result<BanzhafCheckpoint> {
-        check_method(doc, "banzhaf")?;
-        let ckpt = BanzhafCheckpoint {
-            seed: uint(doc, "seed")?,
-            n: uint(doc, "n")? as usize,
-            samples: uint(doc, "samples")?,
-            cursor: uint(doc, "cursor")?,
-            utility_calls: uint(doc, "utility_calls")?,
-            with_sum: finite_vec(doc, "with_sum")?,
-            with_count: uint_vec(doc, "with_count")?,
-            without_sum: finite_vec(doc, "without_sum")?,
-            without_count: uint_vec(doc, "without_count")?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
+    /// Vector lengths, cursor bounds, and per-point counts summing to the
+    /// cursor (checked arithmetic: counts come from untrusted payloads).
+    fn validate(&self) -> nde_robust::Result<()> {
+        let lens = [
+            self.with_sum.len(),
+            self.with_count.len(),
+            self.without_sum.len(),
+            self.without_count.len(),
+        ];
+        if lens.iter().any(|&l| l != self.n) {
+            return Err(RobustError::Checkpoint(format!(
+                "snapshot claims n={} but holds sum/count vectors of lengths {lens:?}",
+                self.n
+            )));
+        }
+        if self.cursor > self.samples {
+            return Err(RobustError::Checkpoint(format!(
+                "cursor {} exceeds configured samples {}",
+                self.cursor, self.samples
+            )));
+        }
+        for (i, (&with, &without)) in self.with_count.iter().zip(&self.without_count).enumerate() {
+            if with.checked_add(without) != Some(self.cursor) {
+                return Err(RobustError::Checkpoint(format!(
+                    "point {i} counts {with} + {without} do not sum to cursor {}",
+                    self.cursor
+                )));
+            }
+        }
+        Ok(())
     }
+
+    nde_robust::snapshot_fields!(
+        seed,
+        n,
+        samples,
+        cursor,
+        utility_calls,
+        with_sum,
+        with_count,
+        without_sum,
+        without_count,
+    );
 }
 
 /// Partial state of a Beta Shapley estimation: points `0..cursor` fully
@@ -279,36 +177,6 @@ impl BetaShapleyCheckpoint {
         }
     }
 
-    /// Internal consistency: vector length, cursor bounds, finite floats.
-    pub fn validate(&self) -> Result<()> {
-        if self.values.len() != self.n {
-            return Err(ImportanceError::Checkpoint(format!(
-                "snapshot claims n={} but holds {} values",
-                self.n,
-                self.values.len()
-            )));
-        }
-        if self.cursor as usize > self.n {
-            return Err(ImportanceError::Checkpoint(format!(
-                "cursor {} exceeds n={}",
-                self.cursor, self.n
-            )));
-        }
-        if !(self.alpha.is_finite() && self.alpha > 0.0 && self.beta.is_finite() && self.beta > 0.0)
-        {
-            return Err(ImportanceError::Checkpoint(format!(
-                "alpha={} / beta={} outside (0, ∞)",
-                self.alpha, self.beta
-            )));
-        }
-        if let Some(i) = self.values.iter().position(|v| !v.is_finite()) {
-            return Err(ImportanceError::Checkpoint(format!(
-                "`values[{i}]` is not a finite number"
-            )));
-        }
-        Ok(())
-    }
-
     /// Reject a snapshot that was written by a differently-shaped run.
     /// α/β are compared bit-exactly: any difference changes the size
     /// distribution and therefore every RNG draw.
@@ -336,118 +204,55 @@ impl BetaShapleyCheckpoint {
         }
         Ok(())
     }
-
-    /// The snapshot as a durable-store payload.
-    pub fn to_payload(&self) -> Json {
-        Json::Obj(vec![
-            ("method".into(), Json::Str("beta-shapley".into())),
-            ("alpha".into(), self.alpha.to_json()),
-            ("beta".into(), self.beta.to_json()),
-            (
-                "samples_per_point".into(),
-                Json::UInt(self.samples_per_point),
-            ),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("n".into(), Json::UInt(self.n as u64)),
-            ("cursor".into(), Json::UInt(self.cursor)),
-            ("utility_calls".into(), Json::UInt(self.utility_calls)),
-            ("values".into(), self.values.to_json()),
-        ])
-    }
-
-    /// Reconstruct and validate a snapshot from a durable-store payload.
-    pub fn from_payload(doc: &Json) -> Result<BetaShapleyCheckpoint> {
-        check_method(doc, "beta-shapley")?;
-        let ckpt = BetaShapleyCheckpoint {
-            alpha: finite(doc, "alpha")?,
-            beta: finite(doc, "beta")?,
-            samples_per_point: uint(doc, "samples_per_point")?,
-            seed: uint(doc, "seed")?,
-            n: uint(doc, "n")? as usize,
-            cursor: uint(doc, "cursor")?,
-            utility_calls: uint(doc, "utility_calls")?,
-            values: finite_vec(doc, "values")?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
-    }
 }
 
-/// A snapshot from any of the resumable Monte-Carlo estimators — the
-/// method-erased form the run API and durable store traffic in. The
-/// `method` tag inside each payload selects the variant on parse, so a
-/// record can never be resumed into the wrong estimator.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EstimatorCheckpoint {
-    /// TMC-Shapley permutation-walk state.
-    Tmc(McCheckpoint),
-    /// Banzhaf MSR conditional-sum state.
-    Banzhaf(BanzhafCheckpoint),
-    /// Beta Shapley per-point state.
-    BetaShapley(BetaShapleyCheckpoint),
-}
+impl Snapshot for BetaShapleyCheckpoint {
+    const METHOD: &'static str = "beta-shapley";
 
-impl EstimatorCheckpoint {
-    /// The method tag carried in the payload.
-    pub fn method(&self) -> &'static str {
-        match self {
-            EstimatorCheckpoint::Tmc(_) => "tmc-shapley",
-            EstimatorCheckpoint::Banzhaf(_) => "banzhaf",
-            EstimatorCheckpoint::BetaShapley(_) => "beta-shapley",
-        }
+    fn step(&self) -> u64 {
+        self.cursor
     }
 
-    /// Monotone progress step (the estimator's cursor).
-    pub fn step(&self) -> u64 {
-        match self {
-            EstimatorCheckpoint::Tmc(c) => c.cursor,
-            EstimatorCheckpoint::Banzhaf(c) => c.cursor,
-            EstimatorCheckpoint::BetaShapley(c) => c.cursor,
+    /// Vector length, cursor bounds, and α, β > 0.
+    fn validate(&self) -> nde_robust::Result<()> {
+        if self.values.len() != self.n {
+            return Err(RobustError::Checkpoint(format!(
+                "snapshot claims n={} but holds {} values",
+                self.n,
+                self.values.len()
+            )));
         }
+        if self.cursor > self.n as u64 {
+            return Err(RobustError::Checkpoint(format!(
+                "cursor {} exceeds n={}",
+                self.cursor, self.n
+            )));
+        }
+        if !(self.alpha > 0.0 && self.beta > 0.0) {
+            return Err(RobustError::Checkpoint(format!(
+                "alpha={} / beta={} outside (0, ∞)",
+                self.alpha, self.beta
+            )));
+        }
+        Ok(())
     }
 
-    /// Cumulative logical utility calls recorded by the snapshot.
-    pub fn utility_calls(&self) -> u64 {
-        match self {
-            EstimatorCheckpoint::Tmc(c) => c.utility_calls,
-            EstimatorCheckpoint::Banzhaf(c) => c.utility_calls,
-            EstimatorCheckpoint::BetaShapley(c) => c.utility_calls,
-        }
-    }
-
-    /// The snapshot as a durable-store payload.
-    pub fn to_payload(&self) -> Json {
-        match self {
-            EstimatorCheckpoint::Tmc(c) => c.to_payload(),
-            EstimatorCheckpoint::Banzhaf(c) => c.to_payload(),
-            EstimatorCheckpoint::BetaShapley(c) => c.to_payload(),
-        }
-    }
-
-    /// Reconstruct from a durable-store payload, dispatching on the
-    /// payload's `method` tag.
-    pub fn from_payload(doc: &Json) -> Result<EstimatorCheckpoint> {
-        let method = field(doc, "method")?
-            .as_str()
-            .ok_or_else(|| ImportanceError::Checkpoint("`method` is not a string".into()))?;
-        match method {
-            "tmc-shapley" => Ok(EstimatorCheckpoint::Tmc(McCheckpoint::from_payload(doc)?)),
-            "banzhaf" => Ok(EstimatorCheckpoint::Banzhaf(
-                BanzhafCheckpoint::from_payload(doc)?,
-            )),
-            "beta-shapley" => Ok(EstimatorCheckpoint::BetaShapley(
-                BetaShapleyCheckpoint::from_payload(doc)?,
-            )),
-            other => Err(ImportanceError::Checkpoint(format!(
-                "unknown estimator snapshot method `{other}`"
-            ))),
-        }
-    }
+    nde_robust::snapshot_fields!(
+        alpha,
+        beta,
+        samples_per_point,
+        seed,
+        n,
+        cursor,
+        utility_calls,
+        values,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nde_data::json::Json;
 
     fn banzhaf_sample() -> BanzhafCheckpoint {
         BanzhafCheckpoint {
@@ -503,55 +308,40 @@ mod tests {
         let banzhaf = banzhaf_sample().to_payload();
         assert!(matches!(
             BetaShapleyCheckpoint::from_payload(&banzhaf),
-            Err(ImportanceError::Checkpoint(_))
+            Err(RobustError::Checkpoint(_))
         ));
         let beta = beta_sample().to_payload();
         assert!(matches!(
             BanzhafCheckpoint::from_payload(&beta),
-            Err(ImportanceError::Checkpoint(_))
+            Err(RobustError::Checkpoint(_))
         ));
     }
 
     #[test]
     fn malformed_payloads_are_typed_errors() {
-        // Torn text, non-finite floats, inconsistent counts: all rejected.
-        let text = banzhaf_sample().to_payload().to_string_pretty();
-        for cut in 0..text.len() {
-            assert!(Json::parse(&text[..cut])
-                .map(|doc| BanzhafCheckpoint::from_payload(&doc))
-                .map_or(true, |r| r.is_err()));
-        }
-        let inf = text.replacen("0.30000000000000004", "1e999", 1);
-        assert_ne!(inf, text);
-        assert!(BanzhafCheckpoint::from_payload(&Json::parse(&inf).unwrap()).is_err());
+        // Type-specific invariants, checked on decode.
+        let checkpoint_error = |r: nde_robust::Result<BanzhafCheckpoint>| {
+            assert!(matches!(r, Err(RobustError::Checkpoint(_))), "{r:?}");
+        };
         let mut bad = banzhaf_sample();
         bad.with_count[0] += 1;
-        assert!(bad.validate().is_err());
-        let mut bad = beta_sample();
-        bad.values[1] = f64::NAN;
-        assert!(bad.validate().is_err());
+        checkpoint_error(BanzhafCheckpoint::from_payload(&bad.to_payload()));
         let mut bad = beta_sample();
         bad.cursor = 99;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn estimator_checkpoint_dispatches_on_method_tag() {
-        let tmc = McCheckpoint::fresh("tmc-shapley", 5, 3);
-        for ckpt in [
-            EstimatorCheckpoint::Tmc(tmc),
-            EstimatorCheckpoint::Banzhaf(banzhaf_sample()),
-            EstimatorCheckpoint::BetaShapley(beta_sample()),
-        ] {
-            let back = EstimatorCheckpoint::from_payload(&ckpt.to_payload()).unwrap();
-            assert_eq!(back, ckpt);
-            assert_eq!(back.method(), ckpt.method());
-        }
-        let unknown = Json::Obj(vec![("method".into(), Json::Str("zorro".into()))]);
-        assert!(matches!(
-            EstimatorCheckpoint::from_payload(&unknown),
-            Err(ImportanceError::Checkpoint(_))
-        ));
+        assert!(BetaShapleyCheckpoint::from_payload(&bad.to_payload()).is_err());
+        let mut bad = beta_sample();
+        bad.alpha = 0.0;
+        assert!(BetaShapleyCheckpoint::from_payload(&bad.to_payload()).is_err());
+        // Counts near u64::MAX must not overflow (a debug-build panic, a
+        // release-build wrap to 0 that matched `cursor: 0`).
+        let mut bad = banzhaf_sample();
+        bad.n = 1;
+        bad.cursor = 0;
+        bad.with_sum.truncate(1);
+        bad.without_sum.truncate(1);
+        bad.with_count = vec![u64::MAX];
+        bad.without_count = vec![1];
+        checkpoint_error(BanzhafCheckpoint::from_payload(&bad.to_payload()));
     }
 
     #[test]

@@ -1,16 +1,224 @@
-//! Checkpoint/resume for Monte-Carlo estimation runs.
+//! The snapshot contract every resumable run checkpoints through, and the
+//! TMC-Shapley permutation-walk snapshot.
 //!
-//! A [`McCheckpoint`] captures everything a permutation-sampling estimator
-//! needs to continue exactly where it stopped: the base seed, the
-//! permutation cursor, the (optional) raw RNG state of an in-flight stream,
-//! and the running marginal sums. Because floats are serialized with
-//! shortest-round-trip formatting (see [`nde_data::json`]), a resumed run
-//! is **bit-identical** to an uninterrupted one.
+//! A [`Snapshot`] is a struct of plain fields plus the invariants they must
+//! satisfy together. Its payload — the [`Json`] a [`crate::RunStore`]
+//! record carries, and the form a run hands back to resume from — is one
+//! object: the method tag, then every field. [`Snapshot::from_payload`]
+//! checks the tag, reads each field through one typed reader ([`Fields`])
+//! that owns the "missing / wrong type / not finite" errors, then runs the
+//! type's invariant check. Floats are serialized shortest-round-trip (see
+//! [`nde_data::json`]), so a resumed run is **bit-identical** to an
+//! uninterrupted one.
 
 use crate::error::RobustError;
 use crate::Result;
-use nde_data::json::{Json, ToJson};
-use std::path::Path;
+use nde_data::json::Json;
+
+/// A resumable run's snapshot: a method tag, a progress step, a field list
+/// ([`snapshot_fields!`](crate::snapshot_fields)) and invariants.
+pub trait Snapshot: Sized {
+    /// Method tag written into every payload; decoding refuses any other.
+    const METHOD: &'static str;
+
+    /// Monotone progress step (permutations, samples, points, epochs or
+    /// rounds done): the step the snapshot's store record is written under.
+    fn step(&self) -> u64;
+
+    /// Invariants the fields must satisfy together (lengths, bounds,
+    /// counts). Field types and float finiteness are the reader's job.
+    fn validate(&self) -> Result<()>;
+
+    /// Every field as `(name, value)`, in payload order.
+    fn fields(&self) -> Vec<(&'static str, Json)>;
+
+    /// Rebuild the struct from a payload's fields.
+    fn from_fields(fields: &Fields<'_>) -> Result<Self>;
+
+    /// The payload: the method tag followed by every field.
+    fn to_payload(&self) -> Json {
+        let mut obj = vec![("method".to_string(), Json::Str(Self::METHOD.into()))];
+        obj.extend(self.fields().into_iter().map(|(k, v)| (k.to_string(), v)));
+        Json::Obj(obj)
+    }
+
+    /// Decode and validate a payload. Another method's payload, a missing
+    /// or mistyped field, a non-finite float, or a broken invariant is a
+    /// [`RobustError::Checkpoint`].
+    fn from_payload(doc: &Json) -> Result<Self> {
+        let fields = Fields::new(doc, "")?;
+        let method: String = fields.get("method")?;
+        if method != Self::METHOD {
+            return Err(RobustError::Checkpoint(format!(
+                "snapshot written by `{method}`, expected `{}`",
+                Self::METHOD
+            )));
+        }
+        let snapshot = Self::from_fields(&fields)?;
+        snapshot.validate()?;
+        Ok(snapshot)
+    }
+}
+
+/// Implement [`Snapshot::fields`] and [`Snapshot::from_fields`] from one
+/// list of the struct's fields, so encoding and decoding cannot disagree.
+/// Use inside an `impl Snapshot for T` block; every listed field's type
+/// must implement [`Field`], and the invoking crate must depend on
+/// `nde_data`.
+#[macro_export]
+macro_rules! snapshot_fields {
+    ($($field:ident),+ $(,)?) => {
+        fn fields(&self) -> Vec<(&'static str, ::nde_data::json::Json)> {
+            vec![$((stringify!($field), $crate::Field::encode(&self.$field))),+]
+        }
+
+        fn from_fields(fields: &$crate::Fields<'_>) -> $crate::Result<Self> {
+            Ok(Self {
+                $($field: fields.get(stringify!($field))?),+
+            })
+        }
+    };
+}
+
+/// Typed reader over one payload object. [`Fields::get`] owns every decode
+/// error and names the field's full path in it (`inflight.marginals[3]`).
+#[derive(Debug)]
+pub struct Fields<'a> {
+    doc: &'a Json,
+    path: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    /// A reader over `doc`, which must be an object. `path` is the
+    /// object's own field path (empty for a whole payload); it prefixes
+    /// the paths of the fields read through it.
+    fn new(doc: &'a Json, path: &'a str) -> Result<Fields<'a>> {
+        match doc {
+            Json::Obj(_) => Ok(Fields { doc, path }),
+            _ if path.is_empty() => Err(RobustError::Checkpoint("payload is not an object".into())),
+            _ => Err(wrong(path, "an object")),
+        }
+    }
+
+    /// Decode field `name`.
+    pub fn get<T: Field>(&self, name: &str) -> Result<T> {
+        let at = if self.path.is_empty() {
+            name.to_string()
+        } else {
+            format!("{}.{name}", self.path)
+        };
+        match self.doc.get(name) {
+            Some(value) => T::decode(value, &at),
+            None => Err(RobustError::Checkpoint(format!("missing field `{at}`"))),
+        }
+    }
+}
+
+fn wrong(at: &str, what: &str) -> RobustError {
+    RobustError::Checkpoint(format!("`{at}` is not {what}"))
+}
+
+/// A value a snapshot field can hold: its [`Json`] encoding and the
+/// checked decode back (`at` is the field's path, for errors).
+pub trait Field: Sized {
+    /// The value as JSON.
+    fn encode(&self) -> Json;
+    /// The value back from JSON, or a [`RobustError::Checkpoint`].
+    fn decode(value: &Json, at: &str) -> Result<Self>;
+}
+
+impl Field for u64 {
+    fn encode(&self) -> Json {
+        Json::UInt(*self)
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        value.as_u64().ok_or_else(|| wrong(at, "an integer"))
+    }
+}
+
+impl Field for usize {
+    fn encode(&self) -> Json {
+        Json::UInt(*self as u64)
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        usize::try_from(u64::decode(value, at)?).map_err(|_| wrong(at, "a usize"))
+    }
+}
+
+/// Floats must be finite: a permissive reader turns `1e999` into `+inf`,
+/// and one non-finite running sum would poison every value folded after
+/// resume.
+impl Field for f64 {
+    fn encode(&self) -> Json {
+        Json::Float(*self)
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        match value.as_f64() {
+            Some(v) if v.is_finite() => Ok(v),
+            Some(_) => Err(wrong(at, "a finite number")),
+            None => Err(wrong(at, "a number")),
+        }
+    }
+}
+
+impl Field for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        value.as_bool().ok_or_else(|| wrong(at, "a boolean"))
+    }
+}
+
+impl Field for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        value
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| wrong(at, "a string"))
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(Field::encode).collect())
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        let items = value.as_arr().ok_or_else(|| wrong(at, "an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| T::decode(v, &format!("{at}[{i}]")))
+            .collect()
+    }
+}
+
+/// `null` is `None`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Field::encode)
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        match value {
+            Json::Null => Ok(None),
+            v => T::decode(v, at).map(Some),
+        }
+    }
+}
+
+impl Field for [u64; 4] {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(Field::encode).collect())
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        Vec::<u64>::decode(value, at)?
+            .try_into()
+            .map_err(|_| wrong(at, "a 4-word array"))
+    }
+}
 
 /// Progress inside a single interrupted permutation walk.
 ///
@@ -33,17 +241,35 @@ pub struct InflightPermutation {
     pub marginals: Vec<f64>,
 }
 
-/// A resumable snapshot of a Monte-Carlo importance estimation.
+impl Field for InflightPermutation {
+    fn encode(&self) -> Json {
+        Json::Obj(vec![
+            ("pos".into(), self.pos.encode()),
+            ("prev_u".into(), self.prev_u.encode()),
+            ("marginals".into(), self.marginals.encode()),
+        ])
+    }
+    fn decode(value: &Json, at: &str) -> Result<Self> {
+        let fields = Fields::new(value, at)?;
+        Ok(InflightPermutation {
+            pos: fields.get("pos")?,
+            prev_u: fields.get("prev_u")?,
+            marginals: fields.get("marginals")?,
+        })
+    }
+}
+
+/// A resumable snapshot of a TMC-Shapley estimation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct McCheckpoint {
-    /// Which estimator wrote the snapshot (e.g. `"tmc-shapley"`). Resume
-    /// refuses checkpoints from a different method.
-    pub method: String,
     /// The base seed; permutation `p` derives its stream from
     /// `child_seed(seed, p)`.
     pub seed: u64,
     /// Number of scored training examples.
     pub n: usize,
+    /// Truncation tolerance of the run that wrote the snapshot. It decides
+    /// where every walk stops, so resume refuses any other tolerance.
+    pub truncation_tolerance: f64,
     /// Next permutation index to run (permutations `0..cursor` are folded
     /// into the running sums already).
     pub cursor: u64,
@@ -66,11 +292,11 @@ pub struct McCheckpoint {
 
 impl McCheckpoint {
     /// A fresh checkpoint at permutation 0 with zeroed sums.
-    pub fn fresh(method: impl Into<String>, seed: u64, n: usize) -> McCheckpoint {
+    pub fn fresh(seed: u64, n: usize, truncation_tolerance: f64) -> McCheckpoint {
         McCheckpoint {
-            method: method.into(),
             seed,
             n,
+            truncation_tolerance,
             cursor: 0,
             utility_calls: 0,
             rng_state: None,
@@ -79,15 +305,17 @@ impl McCheckpoint {
             totals_sq: vec![0.0; n],
         }
     }
+}
 
-    /// Validate internal consistency (vector lengths match `n`, every float
-    /// is finite, in-flight state is well-formed).
-    ///
-    /// The finiteness check matters for parsing as much as for in-process
-    /// state: a permissive JSON reader turns `1e999` into `+inf`, and a
-    /// NaN smuggled into the running sums would silently poison every
-    /// score folded after resume.
-    pub fn validate(&self) -> Result<()> {
+impl Snapshot for McCheckpoint {
+    const METHOD: &'static str = "tmc-shapley";
+
+    fn step(&self) -> u64 {
+        self.cursor
+    }
+
+    /// Vector lengths match `n`, and in-flight state is well-formed.
+    fn validate(&self) -> Result<()> {
         if self.totals.len() != self.n || self.totals_sq.len() != self.n {
             return Err(RobustError::Checkpoint(format!(
                 "checkpoint claims n={} but holds {} totals / {} squared totals",
@@ -96,23 +324,7 @@ impl McCheckpoint {
                 self.totals_sq.len()
             )));
         }
-        let all_finite = |name: &str, values: &[f64]| -> Result<()> {
-            match values.iter().position(|v| !v.is_finite()) {
-                Some(i) => Err(RobustError::Checkpoint(format!(
-                    "`{name}[{i}]` is not a finite number"
-                ))),
-                None => Ok(()),
-            }
-        };
-        all_finite("totals", &self.totals)?;
-        all_finite("totals_sq", &self.totals_sq)?;
         if let Some(inflight) = &self.inflight {
-            if !inflight.prev_u.is_finite() {
-                return Err(RobustError::Checkpoint(
-                    "`inflight.prev_u` is not a finite number".into(),
-                ));
-            }
-            all_finite("inflight.marginals", &inflight.marginals)?;
             if inflight.marginals.len() != self.n {
                 return Err(RobustError::Checkpoint(format!(
                     "in-flight state claims n={} but holds {} marginals",
@@ -120,7 +332,7 @@ impl McCheckpoint {
                     inflight.marginals.len()
                 )));
             }
-            if inflight.pos as usize > self.n {
+            if inflight.pos > self.n as u64 {
                 return Err(RobustError::Checkpoint(format!(
                     "in-flight position {} exceeds n={}",
                     inflight.pos, self.n
@@ -135,163 +347,17 @@ impl McCheckpoint {
         Ok(())
     }
 
-    /// The checkpoint as a structured JSON payload — the form a durable
-    /// [`crate::RunStore`] record carries. [`McCheckpoint::to_json`] is this
-    /// payload rendered as pretty text.
-    pub fn to_payload(&self) -> Json {
-        let rng_state = match self.rng_state {
-            Some(words) => Json::Arr(words.iter().map(|&w| Json::UInt(w)).collect()),
-            None => Json::Null,
-        };
-        let inflight = match &self.inflight {
-            Some(state) => Json::Obj(vec![
-                ("pos".into(), Json::UInt(state.pos)),
-                ("prev_u".into(), state.prev_u.to_json()),
-                ("marginals".into(), state.marginals.to_json()),
-            ]),
-            None => Json::Null,
-        };
-        Json::Obj(vec![
-            ("method".into(), self.method.to_json()),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("n".into(), Json::UInt(self.n as u64)),
-            ("cursor".into(), Json::UInt(self.cursor)),
-            ("utility_calls".into(), Json::UInt(self.utility_calls)),
-            ("rng_state".into(), rng_state),
-            ("inflight".into(), inflight),
-            ("totals".into(), self.totals.to_json()),
-            ("totals_sq".into(), self.totals_sq.to_json()),
-        ])
-    }
-
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        self.to_payload().to_string_pretty()
-    }
-
-    /// Parse a checkpoint serialized with [`McCheckpoint::to_json`].
-    pub fn from_json(text: &str) -> Result<McCheckpoint> {
-        let doc = Json::parse(text)
-            .map_err(|e| RobustError::Checkpoint(format!("unparseable checkpoint: {e}")))?;
-        McCheckpoint::from_payload(&doc)
-    }
-
-    /// Reconstruct from a structured payload (e.g. a durable-store record),
-    /// validating field types, vector lengths, and float finiteness.
-    pub fn from_payload(doc: &Json) -> Result<McCheckpoint> {
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| RobustError::Checkpoint(format!("missing field `{name}`")))
-        };
-        let floats = |name: &str| -> Result<Vec<f64>> {
-            field(name)?
-                .as_arr()
-                .ok_or_else(|| RobustError::Checkpoint(format!("`{name}` is not an array")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        RobustError::Checkpoint(format!("`{name}` holds a non-number"))
-                    })
-                })
-                .collect()
-        };
-        let uint = |name: &str| -> Result<u64> {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| RobustError::Checkpoint(format!("`{name}` is not an integer")))
-        };
-        let rng_state = match field("rng_state")? {
-            Json::Null => None,
-            Json::Arr(words) if words.len() == 4 => {
-                let mut out = [0u64; 4];
-                for (slot, w) in out.iter_mut().zip(words) {
-                    *slot = w.as_u64().ok_or_else(|| {
-                        RobustError::Checkpoint("`rng_state` holds a non-integer".into())
-                    })?;
-                }
-                Some(out)
-            }
-            _ => {
-                return Err(RobustError::Checkpoint(
-                    "`rng_state` must be null or a 4-word array".into(),
-                ))
-            }
-        };
-        // Written by older runners that stop only on permutation boundaries;
-        // treat a missing `inflight` field the same as an explicit null.
-        let inflight = match doc.get("inflight") {
-            None | Some(Json::Null) => None,
-            Some(obj @ Json::Obj(_)) => {
-                let sub = |name: &str| {
-                    obj.get(name).ok_or_else(|| {
-                        RobustError::Checkpoint(format!("`inflight` missing field `{name}`"))
-                    })
-                };
-                Some(InflightPermutation {
-                    pos: sub("pos")?.as_u64().ok_or_else(|| {
-                        RobustError::Checkpoint("`inflight.pos` is not an integer".into())
-                    })?,
-                    prev_u: sub("prev_u")?.as_f64().ok_or_else(|| {
-                        RobustError::Checkpoint("`inflight.prev_u` is not a number".into())
-                    })?,
-                    marginals: sub("marginals")?
-                        .as_arr()
-                        .ok_or_else(|| {
-                            RobustError::Checkpoint("`inflight.marginals` is not an array".into())
-                        })?
-                        .iter()
-                        .map(|v| {
-                            v.as_f64().ok_or_else(|| {
-                                RobustError::Checkpoint(
-                                    "`inflight.marginals` holds a non-number".into(),
-                                )
-                            })
-                        })
-                        .collect::<Result<Vec<f64>>>()?,
-                })
-            }
-            Some(_) => {
-                return Err(RobustError::Checkpoint(
-                    "`inflight` must be null or an object".into(),
-                ))
-            }
-        };
-        let ckpt = McCheckpoint {
-            method: field("method")?
-                .as_str()
-                .ok_or_else(|| RobustError::Checkpoint("`method` is not a string".into()))?
-                .to_string(),
-            seed: uint("seed")?,
-            n: uint("n")? as usize,
-            cursor: uint("cursor")?,
-            utility_calls: uint("utility_calls")?,
-            rng_state,
-            inflight,
-            totals: floats("totals")?,
-            totals_sq: floats("totals_sq")?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
-    }
-
-    /// Write the checkpoint to a file (atomically: write + rename, so a
-    /// crash mid-write never leaves a truncated checkpoint behind).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| RobustError::Io(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| RobustError::Io(format!("renaming {}: {e}", path.display())))
-    }
-
-    /// Load a checkpoint file written by [`McCheckpoint::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<McCheckpoint> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| RobustError::Io(format!("reading {}: {e}", path.display())))?;
-        McCheckpoint::from_json(&text)
-    }
+    crate::snapshot_fields!(
+        seed,
+        n,
+        truncation_tolerance,
+        cursor,
+        utility_calls,
+        rng_state,
+        inflight,
+        totals,
+        totals_sq,
+    );
 }
 
 #[cfg(test)]
@@ -300,9 +366,9 @@ mod tests {
 
     fn sample() -> McCheckpoint {
         McCheckpoint {
-            method: "tmc-shapley".into(),
             seed: u64::MAX - 7,
             n: 3,
+            truncation_tolerance: 0.0,
             cursor: 41,
             utility_calls: 1234,
             rng_state: Some([1, u64::MAX, 0, 99]),
@@ -316,87 +382,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_roundtrip_is_bit_identical() {
-        let ckpt = sample();
-        let back = McCheckpoint::from_json(&ckpt.to_json()).unwrap();
-        assert_eq!(back.method, ckpt.method);
-        assert_eq!(back.seed, ckpt.seed);
-        assert_eq!(back.cursor, ckpt.cursor);
-        assert_eq!(back.rng_state, ckpt.rng_state);
-        let (a, b) = (
-            ckpt.inflight.as_ref().unwrap(),
-            back.inflight.as_ref().unwrap(),
-        );
-        assert_eq!(a.pos, b.pos);
-        assert_eq!(a.prev_u.to_bits(), b.prev_u.to_bits());
-        for (x, y) in a.marginals.iter().zip(&b.marginals) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (a, b) in ckpt.totals.iter().zip(&back.totals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in ckpt.totals_sq.iter().zip(&back.totals_sq) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn error_of(payload: &Json) -> String {
+        match McCheckpoint::from_payload(payload) {
+            Err(RobustError::Checkpoint(msg)) => msg,
+            other => panic!("expected a checkpoint error, got {other:?}"),
         }
     }
 
+    /// Replace the value at a dotted path of `payload`.
+    fn set(payload: &mut Json, path: &[&str], value: Json) {
+        let mut node = payload;
+        for key in path {
+            let Json::Obj(fields) = node else {
+                panic!("no object at {key}")
+            };
+            node = &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1;
+        }
+        *node = value;
+    }
+
     #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("nde-robust-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt.json");
+    fn json_roundtrip_is_bit_identical() {
+        // Through text and back: every nested field kind (fixed array,
+        // option, nested object, float vectors) restores bit-for-bit.
         let ckpt = sample();
-        ckpt.save(&path).unwrap();
-        let back = McCheckpoint::load(&path).unwrap();
+        let text = ckpt.to_payload().to_string_pretty();
+        let back = McCheckpoint::from_payload(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, ckpt);
-        std::fs::remove_file(&path).ok();
+        let bits = |c: &McCheckpoint| -> Vec<u64> {
+            let inflight = c.inflight.as_ref().unwrap();
+            c.totals
+                .iter()
+                .chain(&c.totals_sq)
+                .chain(&inflight.marginals)
+                .chain([&inflight.prev_u])
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&ckpt));
+        assert_eq!(ckpt.step(), 41);
     }
 
     #[test]
     fn corrupt_checkpoints_are_typed_errors() {
-        assert!(matches!(
-            McCheckpoint::from_json("not json"),
-            Err(RobustError::Checkpoint(_))
-        ));
-        assert!(matches!(
-            McCheckpoint::from_json("{}"),
-            Err(RobustError::Checkpoint(_))
-        ));
+        assert!(error_of(&Json::Obj(vec![])).contains("missing field `method`"));
+        assert!(error_of(&Json::Arr(vec![])).contains("payload is not an object"));
         // Inconsistent n vs. totals length.
         let mut ckpt = sample();
         ckpt.totals.pop();
-        let text = ckpt.to_json();
-        assert!(matches!(
-            McCheckpoint::from_json(&text),
-            Err(RobustError::Checkpoint(_))
-        ));
-        // Missing file.
-        assert!(matches!(
-            McCheckpoint::load("/nonexistent/nope.json"),
-            Err(RobustError::Io(_))
-        ));
+        assert!(error_of(&ckpt.to_payload()).contains("n=3"));
     }
 
     #[test]
     fn fresh_checkpoint_is_zeroed() {
-        let ckpt = McCheckpoint::fresh("tmc-shapley", 9, 4);
+        let ckpt = McCheckpoint::fresh(9, 4, 0.5);
         assert_eq!(ckpt.cursor, 0);
         assert_eq!(ckpt.totals, vec![0.0; 4]);
+        assert_eq!(ckpt.truncation_tolerance, 0.5);
         assert!(ckpt.inflight.is_none());
         assert!(ckpt.validate().is_ok());
-    }
-
-    #[test]
-    fn checkpoints_without_inflight_field_still_parse() {
-        // A PR-1-era checkpoint predates the `inflight` field entirely.
-        let mut ckpt = sample();
-        ckpt.inflight = None;
-        ckpt.rng_state = None;
-        let legacy = ckpt.to_json().replace("  \"inflight\": null,\n", "");
-        assert!(legacy.len() < ckpt.to_json().len());
-        let back = McCheckpoint::from_json(&legacy).unwrap();
-        assert_eq!(back, ckpt);
     }
 
     #[test]
@@ -404,98 +448,109 @@ mod tests {
         // Marginals length must match n.
         let mut ckpt = sample();
         ckpt.inflight.as_mut().unwrap().marginals.pop();
-        assert!(matches!(
-            McCheckpoint::from_json(&ckpt.to_json()),
-            Err(RobustError::Checkpoint(_))
-        ));
+        assert!(error_of(&ckpt.to_payload()).contains("marginals"));
         // In-flight state without an RNG stream to resume is unusable.
         let mut ckpt = sample();
         ckpt.rng_state = None;
-        assert!(matches!(
-            McCheckpoint::from_json(&ckpt.to_json()),
-            Err(RobustError::Checkpoint(_))
-        ));
+        assert!(error_of(&ckpt.to_payload()).contains("rng_state"));
         // Position can't exceed n.
         let mut ckpt = sample();
         ckpt.inflight.as_mut().unwrap().pos = 99;
-        assert!(matches!(
-            McCheckpoint::from_json(&ckpt.to_json()),
-            Err(RobustError::Checkpoint(_))
-        ));
+        assert!(error_of(&ckpt.to_payload()).contains("position 99"));
     }
 
     #[test]
     fn truncated_serializations_never_panic() {
-        // A torn write can cut the file at any byte; every prefix must come
-        // back as a typed error (the full text parses, nothing panics).
-        let text = sample().to_json();
+        // A torn write can cut the text at any byte; every prefix must fail
+        // to parse or decode as a typed error (the full text decodes).
+        let text = sample().to_payload().to_string_pretty();
         for cut in 0..text.len() {
-            assert!(matches!(
-                McCheckpoint::from_json(&text[..cut]),
-                Err(RobustError::Checkpoint(_))
-            ));
+            if let Ok(doc) = Json::parse(&text[..cut]) {
+                error_of(&doc);
+            }
         }
-        assert!(McCheckpoint::from_json(&text).is_ok());
+        assert_eq!(
+            McCheckpoint::from_payload(&Json::parse(&text).unwrap()).unwrap(),
+            sample()
+        );
     }
 
     #[test]
     fn non_finite_float_encodings_are_rejected() {
-        // `1e999` overflows to +inf when parsed; the checkpoint layer must
-        // refuse it in every float-bearing field rather than resume with an
-        // infinite running sum.
-        let text = sample().to_json();
-        for token in [
-            "0.30000000000000004",
-            "0.09",
-            "0.6250000000000001",
-            "-0.125",
-        ] {
-            let smuggled = text.replacen(token, "1e999", 1);
-            assert_ne!(smuggled, text, "token {token} not found in fixture");
-            assert!(matches!(
-                McCheckpoint::from_json(&smuggled),
-                Err(RobustError::Checkpoint(_))
-            ));
+        // The reader refuses `+inf` (what `1e999` parses to) in scalar,
+        // vector and nested float fields, naming the full path.
+        let inf = Json::Float(f64::INFINITY);
+        let cases: [(&[&str], Json, &str); 3] = [
+            (
+                &["truncation_tolerance"],
+                inf.clone(),
+                "`truncation_tolerance`",
+            ),
+            (
+                &["totals"],
+                Json::Arr(vec![Json::UInt(0), inf.clone()]),
+                "`totals[1]`",
+            ),
+            (&["inflight", "prev_u"], inf, "`inflight.prev_u`"),
+        ];
+        for (path, value, at) in cases {
+            let mut payload = sample().to_payload();
+            set(&mut payload, path, value);
+            let msg = error_of(&payload);
+            assert!(
+                msg.contains(&format!("{at} is not a finite number")),
+                "{msg}"
+            );
         }
-        // In-process construction is policed the same way.
-        let mut ckpt = sample();
-        ckpt.totals[1] = f64::NAN;
-        assert!(matches!(ckpt.validate(), Err(RobustError::Checkpoint(_))));
-        let mut ckpt = sample();
-        ckpt.inflight.as_mut().unwrap().prev_u = f64::INFINITY;
-        assert!(matches!(ckpt.validate(), Err(RobustError::Checkpoint(_))));
     }
 
     #[test]
     fn wrong_type_fields_are_rejected() {
-        let text = sample().to_json();
-        let swaps = [
-            ("\"method\": \"tmc-shapley\"", "\"method\": 17"),
-            ("\"seed\": 18446744073709551608", "\"seed\": \"huge\""),
-            ("\"cursor\": 41", "\"cursor\": -41"),
-            ("\"utility_calls\": 1234", "\"utility_calls\": [1234]"),
-            ("\"rng_state\": [", "\"rng_state\": 4["),
-            ("\"pos\": 2", "\"pos\": 2.5"),
-            ("\"totals\": [", "\"totals\": \"[\"["),
+        let cases: [(&[&str], Json, &str); 8] = [
+            (&["method"], Json::UInt(17), "`method` is not a string"),
+            (
+                &["seed"],
+                Json::Str("huge".into()),
+                "`seed` is not an integer",
+            ),
+            (
+                &["cursor"],
+                Json::Float(-41.0),
+                "`cursor` is not an integer",
+            ),
+            (&["utility_calls"], Json::Arr(vec![]), "is not an integer"),
+            (
+                &["rng_state"],
+                Json::Arr(vec![Json::UInt(4)]),
+                "4-word array",
+            ),
+            (&["inflight", "pos"], Json::Float(2.5), "`inflight.pos`"),
+            (
+                &["inflight"],
+                Json::Bool(true),
+                "`inflight` is not an object",
+            ),
+            (
+                &["totals"],
+                Json::Str("[".into()),
+                "`totals` is not an array",
+            ),
         ];
-        for (from, to) in swaps {
-            let mutated = text.replacen(from, to, 1);
-            assert_ne!(mutated, text, "pattern {from} not found in fixture");
-            assert!(
-                McCheckpoint::from_json(&mutated).is_err(),
-                "mutation {from} -> {to} was accepted"
-            );
+        for (path, value, expect) in cases {
+            let mut payload = sample().to_payload();
+            set(&mut payload, path, value);
+            let msg = error_of(&payload);
+            assert!(msg.contains(expect), "{path:?}: {msg}");
         }
     }
 
     #[test]
     fn random_mutations_error_or_validate_but_never_panic() {
         use nde_data::rng::{seeded, Rng};
-        // Property test: round-trip the sample, then hammer the serialized
-        // text with random byte edits. Every outcome must be a typed error
-        // or a checkpoint that passes `validate()` — no panics, no accepted
-        // non-finite state.
-        let text = sample().to_json();
+        // Property test: hammer the serialized text with random byte edits.
+        // Every outcome must be a parse error, a typed checkpoint error, or
+        // a snapshot that passes `validate()` with only finite floats.
+        let text = sample().to_payload().to_string_pretty();
         let mut rng = seeded(0xC4A05);
         for _ in 0..600 {
             let mut bytes = text.clone().into_bytes();
@@ -506,10 +561,21 @@ mod tests {
             let Ok(mutated) = String::from_utf8(bytes) else {
                 continue;
             };
-            if let Ok(ckpt) = McCheckpoint::from_json(&mutated) {
-                assert!(ckpt.validate().is_ok());
-                assert!(ckpt.totals.iter().all(|v| v.is_finite()));
-                assert!(ckpt.totals_sq.iter().all(|v| v.is_finite()));
+            let Ok(doc) = Json::parse(&mutated) else {
+                continue;
+            };
+            match McCheckpoint::from_payload(&doc) {
+                Ok(ckpt) => {
+                    assert!(ckpt.validate().is_ok());
+                    assert!(ckpt.truncation_tolerance.is_finite());
+                    assert!(ckpt.totals.iter().all(|v| v.is_finite()));
+                    assert!(ckpt.totals_sq.iter().all(|v| v.is_finite()));
+                    if let Some(inflight) = &ckpt.inflight {
+                        assert!(inflight.prev_u.is_finite());
+                        assert!(inflight.marginals.iter().all(|v| v.is_finite()));
+                    }
+                }
+                Err(e) => assert!(matches!(e, RobustError::Checkpoint(_)), "{e:?}"),
             }
         }
     }

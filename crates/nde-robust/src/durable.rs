@@ -71,9 +71,10 @@ fn catch_supervised<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> 
     outcome.map_err(panic_message)
 }
 
-/// On-disk envelope format version; bumped on incompatible layout changes.
-/// Records from another version are skipped by [`RunStore::latest_valid`].
-pub const STORE_FORMAT_VERSION: u64 = 1;
+/// On-disk format version of records and their snapshot payloads; bumped on
+/// incompatible layout changes. Records from another version are skipped by
+/// [`RunStore::latest_valid`].
+pub const STORE_FORMAT_VERSION: u64 = 2;
 
 /// FxHash-64 over a serialized payload — the record checksum.
 pub fn payload_checksum(text: &str) -> u64 {
@@ -557,11 +558,9 @@ mod tests {
         assert_eq!(store.latest_valid(&fp).unwrap().unwrap().step, 1);
         // Stale format version on the last good record: nothing valid left.
         let text = std::fs::read_to_string(&paths[0].1).unwrap();
-        std::fs::write(
-            &paths[0].1,
-            text.replace("\"format_version\": 1", "\"format_version\": 0"),
-        )
-        .unwrap();
+        let current = format!("\"format_version\": {STORE_FORMAT_VERSION}");
+        assert!(text.contains(&current));
+        std::fs::write(&paths[0].1, text.replace(&current, "\"format_version\": 0")).unwrap();
         assert_eq!(store.latest_valid(&fp).unwrap(), None);
     }
 

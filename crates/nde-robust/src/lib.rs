@@ -10,9 +10,11 @@
 //!   utility-call budgets, with [`ConvergenceDiagnostics`] so a run that
 //!   exhausts its budget degrades to a tagged best-so-far result instead of
 //!   running forever or aborting.
-//! - [`checkpoint`] — [`McCheckpoint`]: serializable snapshots of Monte-Carlo
-//!   estimation state (permutation cursor, RNG state, running marginals) so
-//!   an interrupted run resumes **bit-identically**.
+//! - [`checkpoint`] — the [`Snapshot`] contract every resumable run
+//!   checkpoints through (method tag, step, field list, invariants; one
+//!   typed reader for every payload), and [`McCheckpoint`], the TMC-Shapley
+//!   permutation-walk state, so an interrupted run resumes
+//!   **bit-identically**.
 //! - [`retry`] — [`RetryPolicy`]: bounded retries with exponential backoff
 //!   for flaky external dependencies (e.g. cleaning oracles).
 //! - [`durable`] — the crash-safe on-disk [`RunStore`]: checksummed,
@@ -39,7 +41,7 @@ pub mod retry;
 
 pub use budget::{BudgetClock, ConvergenceDiagnostics, Exhaustion, RunBudget};
 pub use chaos::FaultSchedule;
-pub use checkpoint::{InflightPermutation, McCheckpoint};
+pub use checkpoint::{Field, Fields, InflightPermutation, McCheckpoint, Snapshot};
 pub use durable::{
     supervise, CheckpointRecord, RunFingerprint, RunStore, SuperviseCtx, Supervised,
 };

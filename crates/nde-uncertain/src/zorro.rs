@@ -15,11 +15,10 @@ use crate::interval::{interval_dot, Interval};
 use crate::soa::{self, IntervalMatrix, IntervalVec};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
-use nde_data::json::{Json, ToJson};
 use nde_data::par::{tree_reduce, CostHint, WorkerFailure};
 use nde_data::pool::WorkerPool;
 use nde_ml::linalg::Matrix;
-use nde_robust::{ConvergenceDiagnostics, RunBudget};
+use nde_robust::{ConvergenceDiagnostics, RobustError, RunBudget, Snapshot};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -88,92 +87,52 @@ impl ZorroConfig {
 /// planes after `epochs_done` completed full-batch epochs. Training is
 /// deterministic, so resuming from the snapshot via
 /// [`ZorroRegressor::fit_uncertain_resumable`] is bit-identical to never
-/// stopping. Converts to and from a [`Json`] payload so budgeted fits
-/// checkpoint through the same durable [`RunStore`](nde_robust::RunStore)
-/// records as the importance estimators.
+/// stopping. Implements [`Snapshot`], so budgeted fits checkpoint through
+/// the same durable [`RunStore`](nde_robust::RunStore) records as the
+/// importance estimators.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZorroCheckpoint {
     /// Completed full-batch epochs.
     pub epochs_done: u64,
+    /// Learning rate of the fit that wrote the snapshot.
+    pub learning_rate: f64,
+    /// L2 regularization of the fit that wrote the snapshot.
+    pub l2: f64,
     /// Lower weight plane (`d + 1`, bias last).
     pub lo: Vec<f64>,
     /// Upper weight plane (`d + 1`, bias last).
     pub hi: Vec<f64>,
 }
 
-impl ZorroCheckpoint {
-    /// Internal consistency: matching plane lengths, finite floats, and
-    /// ordered bounds — the same hardening contract as the Monte-Carlo
-    /// checkpoints (a `1e999` smuggled into a weight plane must fail
-    /// parsing, never poison a resumed fit).
-    pub fn validate(&self) -> Result<()> {
+impl Snapshot for ZorroCheckpoint {
+    const METHOD: &'static str = "zorro-fit";
+
+    fn step(&self) -> u64 {
+        self.epochs_done
+    }
+
+    /// Matching plane lengths and ordered, finite bounds (in-process
+    /// snapshots are resumed without a decode, so finiteness is checked
+    /// here too).
+    fn validate(&self) -> nde_robust::Result<()> {
         if self.lo.is_empty() || self.lo.len() != self.hi.len() {
-            return Err(UncertainError::Checkpoint(format!(
+            return Err(RobustError::Checkpoint(format!(
                 "weight planes have lengths {} and {}",
                 self.lo.len(),
                 self.hi.len()
             )));
         }
         for (i, (&lo, &hi)) in self.lo.iter().zip(&self.hi).enumerate() {
-            if !lo.is_finite() || !hi.is_finite() {
-                return Err(UncertainError::Checkpoint(format!(
-                    "weight {i} bounds are not finite"
-                )));
-            }
-            if lo > hi {
-                return Err(UncertainError::Checkpoint(format!(
-                    "weight {i} bounds are inverted: [{lo}, {hi}]"
+            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                return Err(RobustError::Checkpoint(format!(
+                    "weight {i} bounds [{lo}, {hi}] are not finite and ordered"
                 )));
             }
         }
         Ok(())
     }
 
-    /// The snapshot as a durable-store payload.
-    pub fn to_payload(&self) -> Json {
-        Json::Obj(vec![
-            ("method".into(), Json::Str("zorro-fit".into())),
-            ("epochs_done".into(), Json::UInt(self.epochs_done)),
-            ("lo".into(), self.lo.to_json()),
-            ("hi".into(), self.hi.to_json()),
-        ])
-    }
-
-    /// Reconstruct and validate a snapshot from a durable-store payload.
-    pub fn from_payload(doc: &Json) -> Result<ZorroCheckpoint> {
-        let method = doc
-            .get("method")
-            .and_then(Json::as_str)
-            .ok_or_else(|| UncertainError::Checkpoint("missing `method` tag".into()))?;
-        if method != "zorro-fit" {
-            return Err(UncertainError::Checkpoint(format!(
-                "snapshot written by `{method}`, expected `zorro-fit`"
-            )));
-        }
-        let epochs_done = doc
-            .get("epochs_done")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| UncertainError::Checkpoint("`epochs_done` is not an integer".into()))?;
-        let plane = |name: &str| -> Result<Vec<f64>> {
-            doc.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| UncertainError::Checkpoint(format!("`{name}` is not an array")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        UncertainError::Checkpoint(format!("`{name}` holds a non-number"))
-                    })
-                })
-                .collect()
-        };
-        let ckpt = ZorroCheckpoint {
-            epochs_done,
-            lo: plane("lo")?,
-            hi: plane("hi")?,
-        };
-        ckpt.validate()?;
-        Ok(ckpt)
-    }
+    nde_robust::snapshot_fields!(epochs_done, learning_rate, l2, lo, hi);
 }
 
 /// A linear regressor trained symbolically over interval features.
@@ -252,9 +211,9 @@ impl ZorroRegressor {
     /// short by an earlier budget trip (or crash): pass the
     /// [`ZorroCheckpoint`] the interrupted call returned and training
     /// continues at the next epoch, bit-identical to an uninterrupted run.
-    /// A snapshot with the wrong weight dimension or more epochs than this
-    /// configuration allows is rejected with
-    /// [`UncertainError::Checkpoint`].
+    /// A snapshot with the wrong weight dimension, more epochs than this
+    /// configuration allows, or another learning rate or L2 weight is
+    /// rejected with [`UncertainError::Checkpoint`].
     pub fn fit_uncertain_resumable(
         &mut self,
         x: &SymbolicMatrix,
@@ -283,6 +242,14 @@ impl ZorroRegressor {
                         cp.epochs_done, self.config.epochs
                     )));
                 }
+                let (lr, l2) = (self.config.learning_rate, self.config.l2);
+                if cp.learning_rate.to_bits() != lr.to_bits() || cp.l2.to_bits() != l2.to_bits() {
+                    return Err(UncertainError::Checkpoint(format!(
+                        "snapshot (learning_rate {}, l2 {}) does not match run \
+                         (learning_rate {lr}, l2 {l2})",
+                        cp.learning_rate, cp.l2
+                    )));
+                }
                 let w = IntervalVec {
                     lo: cp.lo.clone(),
                     hi: cp.hi.clone(),
@@ -304,6 +271,8 @@ impl ZorroRegressor {
         }
         let checkpoint = ZorroCheckpoint {
             epochs_done: clock.iterations(),
+            learning_rate: self.config.learning_rate,
+            l2: self.config.l2,
             lo: w.lo.clone(),
             hi: w.hi.clone(),
         };
@@ -588,6 +557,7 @@ mod tests {
     use super::*;
     use crate::symbolic::column_bounds_from_observed;
     use nde_data::generate::blobs::linear_regression;
+    use nde_data::json::Json;
     use nde_data::rng::Rng;
     use nde_data::rng::{sample_indices, seeded};
 
@@ -878,8 +848,7 @@ mod tests {
             plain.weight_intervals().unwrap()
         );
 
-        // Shape and bound mismatches are rejected, torn payloads fail to
-        // parse, and a smuggled `1e999` cannot poison a resumed fit.
+        // Shape and bound mismatches are rejected.
         let mut wrong = back.clone();
         wrong.lo.push(0.0);
         assert!(wrong.validate().is_err());
@@ -897,14 +866,29 @@ mod tests {
         let mut wrong = back.clone();
         wrong.lo[0] = wrong.hi[0] + 1.0;
         assert!(wrong.validate().is_err());
-        for cut in 0..text.len() {
-            assert!(Json::parse(&text[..cut])
-                .map(|doc| ZorroCheckpoint::from_payload(&doc))
-                .map_or(true, |r| r.is_err()));
+        wrong.lo[0] = f64::NAN;
+        assert!(wrong.validate().is_err());
+        // A fit with another learning rate or L2 weight refuses the snapshot.
+        for other in [
+            ZorroConfig {
+                learning_rate: 0.01,
+                ..cfg.clone()
+            },
+            ZorroConfig {
+                l2: 0.5,
+                ..cfg.clone()
+            },
+        ] {
+            assert!(matches!(
+                ZorroRegressor::new(other).fit_uncertain_resumable(
+                    &sym,
+                    &targets,
+                    &RunBudget::unlimited(),
+                    Some(&back)
+                ),
+                Err(UncertainError::Checkpoint(_))
+            ));
         }
-        let inf = text.replacen(&format!("{}", back.lo[0]), "1e999", 1);
-        assert_ne!(inf, text);
-        assert!(ZorroCheckpoint::from_payload(&Json::parse(&inf).unwrap()).is_err());
     }
 
     #[test]

@@ -14,7 +14,9 @@ use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::{Executor, PanicPolicy};
 use nde_pipeline::plan::Plan;
 use nde_robust::chaos::panicking_projection;
-use nde_robust::{FaultSchedule, McCheckpoint, RetryPolicy, RunBudget};
+use nde_robust::{
+    FaultSchedule, McCheckpoint, RetryPolicy, RunBudget, RunFingerprint, RunStore, Snapshot,
+};
 
 fn main() {
     let nd = two_gaussians(120, 3, 1.8, 77);
@@ -27,8 +29,9 @@ fn main() {
     };
     let knn = KnnClassifier::new(3);
 
-    // 1. Budgeted run that trips on utility calls, then resume from a
-    // checkpoint persisted to disk (simulated crash).
+    // 1. Budgeted run that trips on utility calls mid-permutation; its
+    // snapshot is written as a durable store record (simulated crash), read
+    // back, and resumed.
     let partial = tmc_shapley(
         &ImportanceRun::new(5).with_budget(RunBudget::unlimited().with_max_utility_calls(60)),
         &knn,
@@ -37,17 +40,30 @@ fn main() {
         &params,
     )
     .unwrap();
-    let partial_ckpt = partial.report.checkpoint.unwrap();
+    let snapshot = partial.report.snapshot.unwrap();
+    let partial_state = McCheckpoint::from_payload(&snapshot).unwrap();
     let partial_diag = partial.report.diagnostics.unwrap();
     println!(
-        "partial: cursor={} exhausted={:?} max_se={:?}",
-        partial_ckpt.cursor, partial_diag.exhausted, partial_diag.max_marginal_std_error
+        "partial: cursor={} mid-permutation={} exhausted={:?} max_se={:?}",
+        partial_state.cursor,
+        partial_state.inflight.is_some(),
+        partial_diag.exhausted,
+        partial_diag.max_marginal_std_error
     );
-    let ckpt_path = std::env::temp_dir().join("ft_probe.ckpt.json");
-    partial_ckpt.save(&ckpt_path).unwrap();
-    let restored = McCheckpoint::load(&ckpt_path).unwrap();
+    let dir = std::env::temp_dir().join(format!("nde-ft-probe-{}", std::process::id()));
+    let store = RunStore::open(&dir).unwrap();
+    let fp = RunFingerprint::new(
+        McCheckpoint::METHOD,
+        5,
+        "permutations=40",
+        train.fingerprint(),
+    );
+    let record_path = store
+        .save_checkpoint(&fp, partial_state.step(), &snapshot)
+        .unwrap();
+    let record = store.latest_valid(&fp).unwrap().unwrap();
     let resumed = tmc_shapley(
-        &ImportanceRun::new(5).with_checkpoint(&restored),
+        &ImportanceRun::new(5).with_resume(&record.payload),
         &knn,
         &train,
         &valid,
@@ -60,17 +76,18 @@ fn main() {
         resumed.scores.values == full.scores.values
     );
 
-    // Probe: corrupt the checkpoint file on disk, then reload.
-    std::fs::write(&ckpt_path, "{not json").unwrap();
+    // Probe: tear the record on disk; recovery skips it rather than
+    // resuming from garbage.
+    std::fs::write(&record_path, "{not json").unwrap();
     println!(
-        "tampered checkpoint load: {:?}",
-        McCheckpoint::load(&ckpt_path).err()
+        "torn record skipped: {}",
+        store.latest_valid(&fp).unwrap().is_none()
     );
-    std::fs::remove_file(&ckpt_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
     // Probe: resume into a run with a different seed.
     let err = tmc_shapley(
-        &ImportanceRun::new(6).with_checkpoint(&partial_ckpt),
+        &ImportanceRun::new(6).with_resume(&snapshot),
         &knn,
         &train,
         &valid,

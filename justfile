@@ -85,6 +85,13 @@ bench-incremental:
     grep -q '"runner"' BENCH_incremental.json
     cargo test -q --release --offline -p nde-tests --test incremental_delta
 
+# Resume demo: the fault-tolerance example cuts a TMC-Shapley run
+# mid-permutation, writes its snapshot as a store record, resumes from the
+# record read back, and must match the uninterrupted run bit for bit.
+example-resume:
+    cargo run --release --offline --example fault_tolerance | tee /tmp/nde_example_resume.txt
+    grep -q 'resume bit-identical to uninterrupted: true' /tmp/nde_example_resume.txt
+
 # Benchmark build smoke: the benchmark is a workspace of its own, so a
 # library API change can break it without the workspace build noticing.
 # Runs its unit tests and one short run of each workload, whose last

@@ -13,6 +13,7 @@ use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_robust::par::MemoCache;
 use nde_robust::RunBudget;
+use nde_tests::tmc_state;
 
 fn workload(n: usize, n_valid: usize, seed: u64) -> (Dataset, Dataset) {
     let nd = two_gaussians(n + n_valid, 3, 4.0, seed);
@@ -83,7 +84,7 @@ fn batched_tmc_trips_budget_at_the_same_point_across_threads() {
     )
     .unwrap();
     assert!(!baseline.report.diagnostics.as_ref().unwrap().completed());
-    let base_ckpt = baseline.report.checkpoint.as_ref().unwrap();
+    let base_ckpt = tmc_state(&baseline);
     for threads in [1, 4] {
         let batched = tmc_shapley(
             &ImportanceRun::new(5)
@@ -101,7 +102,7 @@ fn batched_tmc_trips_budget_at_the_same_point_across_threads() {
         assert_eq!(batched.report.utility_calls, 75);
         // The entire checkpoint — cursor, rng state, in-flight walk, float
         // totals — must match the unbatched run's exactly.
-        assert_eq!(base_ckpt, batched.report.checkpoint.as_ref().unwrap());
+        assert_eq!(base_ckpt, tmc_state(&batched));
     }
 }
 
@@ -127,14 +128,13 @@ fn batched_run_resumes_from_an_unbatched_mid_permutation_checkpoint() {
             &tmc_params(),
         )
         .unwrap();
-        let ckpt = tripped.report.checkpoint.unwrap();
         assert!(
-            ckpt.inflight.is_some(),
+            tmc_state(&tripped).inflight.is_some(),
             "budget must trip mid-permutation for this test to bite"
         );
         let resumed = tmc_shapley(
             &ImportanceRun::new(6)
-                .with_checkpoint(&ckpt)
+                .with_resume(tripped.report.snapshot.as_ref().unwrap())
                 .with_batch(second),
             &knn,
             &train,
@@ -233,8 +233,5 @@ fn cache_and_batching_compose_without_changing_scores_or_trip_points() {
     // Cache hits still count as logical calls: identical trip point.
     assert_eq!(plain.report.utility_calls, cached.report.utility_calls);
     assert!(cached.report.cache_hits > 0);
-    assert_eq!(
-        plain.report.checkpoint.unwrap().cursor,
-        cached.report.checkpoint.unwrap().cursor
-    );
+    assert_eq!(tmc_state(&plain).cursor, tmc_state(&cached).cursor);
 }

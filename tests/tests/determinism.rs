@@ -67,7 +67,8 @@ fn interrupted_shapley_resumes_bit_identically() {
     use nde_importance::{tmc_shapley, ImportanceRun, TmcParams};
     use nde_ml::dataset::Dataset;
     use nde_ml::models::knn::KnnClassifier;
-    use nde_robust::{McCheckpoint, RunBudget};
+    use nde_robust::{RunBudget, RunFingerprint, RunStore};
+    use nde_tests::tmc_state;
 
     let nd = two_gaussians(80, 3, 1.5, 21);
     let all = Dataset::try_from(&nd).unwrap();
@@ -81,11 +82,14 @@ fn interrupted_shapley_resumes_bit_identically() {
     let full = tmc_shapley(&ImportanceRun::new(3), &knn, &train, &valid, &params)
         .expect("uninterrupted run");
     assert!(full.report.diagnostics.as_ref().unwrap().completed());
-    let full_ckpt = full.report.checkpoint.as_ref().unwrap();
+    let full_ckpt = tmc_state(&full);
 
-    // Interrupt after k permutations, persist the checkpoint to disk (a
-    // simulated crash + restart), resume, and demand the *exact* floats the
-    // uninterrupted run produced.
+    // Interrupt after k permutations, persist the snapshot as a store record
+    // (a simulated crash + restart), resume from the record read back, and
+    // demand the *exact* floats the uninterrupted run produced.
+    let dir = std::env::temp_dir().join(format!("nde-determinism-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = RunStore::open(&dir).expect("open store");
     for k in [1u64, 7, 23] {
         let partial = tmc_shapley(
             &ImportanceRun::new(3).with_budget(RunBudget::unlimited().with_max_iterations(k)),
@@ -95,15 +99,20 @@ fn interrupted_shapley_resumes_bit_identically() {
             &params,
         )
         .expect("interrupted run");
-        let partial_ckpt = partial.report.checkpoint.unwrap();
-        assert_eq!(partial_ckpt.cursor, k);
-        let path = std::env::temp_dir().join(format!("nde-determinism-ckpt-{k}.json"));
-        partial_ckpt.save(&path).expect("save checkpoint");
-        let restored = McCheckpoint::load(&path).expect("load checkpoint");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(restored, partial_ckpt);
+        assert_eq!(tmc_state(&partial).cursor, k);
+        let fp = RunFingerprint::new("tmc-shapley", 3, format!("cut={k}"), 21);
+        let payload = partial.report.snapshot.expect("MC runs snapshot");
+        store
+            .save_checkpoint(&fp, k, &payload)
+            .expect("save record");
+        let record = store
+            .latest_valid(&fp)
+            .expect("read store")
+            .expect("record");
+        assert_eq!(record.step, k);
+        assert_eq!(record.payload, payload);
         let resumed = tmc_shapley(
-            &ImportanceRun::new(3).with_checkpoint(&restored),
+            &ImportanceRun::new(3).with_resume(&record.payload),
             &knn,
             &train,
             &valid,
@@ -114,10 +123,11 @@ fn interrupted_shapley_resumes_bit_identically() {
             resumed.scores.values, full.scores.values,
             "resume after {k} permutations must be bit-identical"
         );
-        let resumed_ckpt = resumed.report.checkpoint.unwrap();
+        let resumed_ckpt = tmc_state(&resumed);
         assert_eq!(resumed_ckpt.totals, full_ckpt.totals);
         assert_eq!(resumed_ckpt.totals_sq, full_ckpt.totals_sq);
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -20,6 +20,7 @@ use nde_robust::chaos::{
     CHAOS_PANIC_PREFIX,
 };
 use nde_robust::{FaultSchedule, RetryPolicy, RunBudget};
+use nde_tests::tmc_state;
 
 fn gaussian_split() -> (Dataset, Dataset) {
     let nd = two_gaussians(80, 3, 1.5, 51);
@@ -187,7 +188,7 @@ fn shapley_budget_exhaustion_yields_best_so_far_plus_diagnostics() {
     let diag = run.report.diagnostics.as_ref().unwrap();
     assert!(!diag.completed());
     assert_eq!(diag.iterations, 6);
-    assert_eq!(run.report.checkpoint.unwrap().cursor, 6);
+    assert_eq!(tmc_state(&run).cursor, 6);
     assert_eq!(run.scores.values.len(), train.len());
     assert!(run.scores.values.iter().all(|v| v.is_finite()));
     assert!(diag.max_marginal_std_error.is_some());

@@ -22,6 +22,7 @@ use nde_robust::chaos::{CheckpointKillSwitch, CHAOS_PANIC_PREFIX};
 use nde_robust::{
     supervise, FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx,
 };
+use nde_tests::{latest, persist};
 
 fn hiring_inputs(s: &HiringScenario) -> Vec<(&str, &Table)> {
     vec![
@@ -262,10 +263,7 @@ fn chaos_killed_incremental_cleaning_resumes_bit_identically() {
         &RetryPolicy::immediate(8),
         |ctx: &SuperviseCtx<'_>| -> Result<CleaningCheckpoint, CleaningError> {
             loop {
-                let resume = match ctx.latest()? {
-                    Some(r) => Some(CleaningCheckpoint::from_payload(&r.payload)?),
-                    None => None,
-                };
+                let resume: Option<CleaningCheckpoint> = latest(ctx)?;
                 let done = resume.as_ref().map_or(0, |s| s.rounds_done);
                 let budget = RunBudget::unlimited().with_max_iterations((done + 1).min(ROUNDS));
                 let (_, snap) = prioritized_cleaning_resumable(
@@ -282,7 +280,7 @@ fn chaos_killed_incremental_cleaning_resumes_bit_identically() {
                     &RetryPolicy::none(),
                     resume.as_ref(),
                 )?;
-                ctx.checkpoint(snap.rounds_done, &snap.to_payload())?;
+                persist(ctx, &snap)?;
                 kill.observe();
                 if snap.rounds_done >= ROUNDS {
                     return Ok(snap);

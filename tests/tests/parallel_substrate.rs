@@ -11,6 +11,7 @@ use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_robust::par::MemoCache;
 use nde_robust::RunBudget;
+use nde_tests::tmc_state;
 
 fn workload(n: usize, n_valid: usize, seed: u64) -> (Dataset, Dataset) {
     let nd = two_gaussians(n + n_valid, 3, 4.0, seed);
@@ -77,7 +78,7 @@ fn budgeted_shapley_is_thread_invariant_with_tripped_budget() {
     .unwrap();
     assert!(!seq.report.diagnostics.as_ref().unwrap().completed());
     assert_eq!(seq.report.utility_calls, 100);
-    let seq_ckpt = seq.report.checkpoint.as_ref().unwrap();
+    let seq_ckpt = tmc_state(&seq);
     for threads in [2, 4] {
         let par = tmc_shapley(
             &ImportanceRun::new(41)
@@ -90,7 +91,7 @@ fn budgeted_shapley_is_thread_invariant_with_tripped_budget() {
         )
         .unwrap();
         assert_eq!(seq.scores, par.scores, "threads={threads}");
-        let par_ckpt = par.report.checkpoint.as_ref().unwrap();
+        let par_ckpt = tmc_state(&par);
         assert_eq!(seq_ckpt.cursor, par_ckpt.cursor);
         assert_eq!(seq_ckpt.inflight.is_some(), par_ckpt.inflight.is_some());
         assert_eq!(seq.report.utility_calls, par.report.utility_calls);
@@ -122,11 +123,11 @@ fn parallel_interrupt_resume_matches_sequential_uninterrupted() {
         )
         .unwrap();
         assert!(!tripped.report.diagnostics.as_ref().unwrap().completed());
-        let ckpt = tripped.report.checkpoint.unwrap();
+        let snap = tripped.report.snapshot.unwrap();
         let resumed = tmc_shapley(
             &ImportanceRun::new(41)
                 .with_threads(threads)
-                .with_checkpoint(&ckpt),
+                .with_resume(&snap),
             &KnnClassifier::new(1),
             &train,
             &valid,
@@ -137,7 +138,7 @@ fn parallel_interrupt_resume_matches_sequential_uninterrupted() {
             unbudgeted.scores, resumed.scores,
             "threads={threads}: parallel interrupt+resume must be bit-identical"
         );
-        assert!(resumed.report.checkpoint.unwrap().inflight.is_none());
+        assert!(tmc_state(&resumed).inflight.is_none());
     }
 }
 
@@ -171,12 +172,12 @@ fn memo_cache_is_transparent_and_hits_across_a_resume_cycle() {
     )
     .unwrap();
     assert!(!tripped.report.diagnostics.as_ref().unwrap().completed());
-    let ckpt = tripped.report.checkpoint.unwrap();
+    let snap = tripped.report.snapshot.unwrap();
     let resumed = tmc_shapley(
         &ImportanceRun::new(8)
             .with_threads(4)
             .with_cache(&cache)
-            .with_checkpoint(&ckpt),
+            .with_resume(&snap),
         &KnnClassifier::new(1),
         &train,
         &valid,
