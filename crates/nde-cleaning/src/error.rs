@@ -41,6 +41,10 @@ pub enum CleaningError {
     Checkpoint(String),
     /// A durable run-store operation failed (filesystem or record layer).
     Store(String),
+    /// A live debugging session refused a fix: an earlier fix failed after
+    /// it had changed the pipeline state, so the session's dataset no
+    /// longer matches its table. Rebuild the session.
+    Poisoned(String),
 }
 
 impl fmt::Display for CleaningError {
@@ -66,6 +70,7 @@ impl fmt::Display for CleaningError {
             }
             CleaningError::Checkpoint(m) => write!(f, "checkpoint mismatch: {m}"),
             CleaningError::Store(m) => write!(f, "durable store error: {m}"),
+            CleaningError::Poisoned(m) => write!(f, "session poisoned: {m}"),
         }
     }
 }

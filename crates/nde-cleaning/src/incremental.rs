@@ -20,14 +20,19 @@
 //!
 //! - **Cell patch**: rows stay in place; the patched rows are re-encoded,
 //!   and the evaluator takes their label and feature changes.
-//! - **Splice** (an inserted or deleted source row): the pipeline's
-//!   monotone row map says where every old output row went. Surviving
-//!   encoded rows move through the map, only the inserted rows are
-//!   encoded, and the evaluator follows the same map
+//! - **Splice** (an inserted or deleted source row) and **rerun** (a
+//!   routing change, such as a join-key or filter-column fix): the
+//!   pipeline's monotone row map says where every old output row went.
+//!   Surviving encoded rows move through the map, only the rows nothing
+//!   maps to are encoded, and the evaluator follows the same map
 //!   ([`IncrementalLabelEval::splice`]). The memo cache names rows by
 //!   index, so it is emptied.
-//! - **Rerun**: row identity is lost, so the whole output is re-encoded and
-//!   the evaluator rebuilt — the only full re-encode.
+//!
+//! No structural fix re-encodes the whole training set: every path
+//! encodes only the rows it changed. A fix that fails after the pipeline
+//! state changed (for example one that removes every training row, or a
+//! row map the evaluator rejects) poisons the session: the dataset no
+//! longer matches the table, so later fixes get [`CleaningError::Poisoned`].
 //!
 //! Every layer is differentially guaranteed: after any sequence of fixes
 //! the session's table, dataset and accuracy are bit-identical to
@@ -43,7 +48,7 @@ use nde_ml::linalg::Matrix;
 use nde_ml::model::Classifier;
 use nde_pipeline::exec::Executor;
 use nde_pipeline::feature::FeaturePipeline;
-use nde_pipeline::{Delta, DeltaPath, PipelineSession};
+use nde_pipeline::{Delta, DeltaOutcome, DeltaPath, PipelineSession};
 use nde_robust::par::MemoCache;
 
 /// What one accepted fix did to the session.
@@ -52,11 +57,11 @@ pub struct FixReport {
     /// The propagation path the pipeline layer took.
     pub path: DeltaPath,
     /// Output rows that were re-encoded (ascending): the patched rows of
-    /// a cell patch, the inserted rows of a splice, and every current row
-    /// only on a rerun.
+    /// a cell patch, or the rows no old row maps to after a splice or a
+    /// rerun.
     pub affected_rows: Vec<usize>,
-    /// `true` only on a rerun, when row identity was lost and the whole
-    /// dataset was re-encoded; `false` for a cell patch or a splice.
+    /// `true` when `affected_rows` covers every row of the (non-empty)
+    /// output table, i.e. the fix cost a full re-encode.
     pub reencoded_all: bool,
     /// Memoized coalition utilities evicted by this fix.
     pub cache_evictions: usize,
@@ -64,8 +69,8 @@ pub struct FixReport {
     pub accuracy: f64,
 }
 
-/// A live debugging session over a provenance-tracked pipeline run:
-/// accepted source-level fixes are applied incrementally end to end.
+/// A live debugging session over a pipeline run: accepted source-level
+/// fixes are applied incrementally end to end.
 pub struct IncrementalDebugSession<C: Classifier> {
     template: C,
     pipeline: FeaturePipeline,
@@ -77,11 +82,14 @@ pub struct IncrementalDebugSession<C: Classifier> {
     fixes_applied: usize,
     full_reencodes: usize,
     rows_reencoded: usize,
+    /// Set when a fix failed after the pipeline session committed it.
+    poisoned: bool,
 }
 
 impl<C: Classifier> IncrementalDebugSession<C> {
-    /// Fit `pipeline` on `inputs`, capture the run for delta propagation,
-    /// and build the model's incremental evaluator against `valid`.
+    /// Capture the run of `pipeline`'s plan over `inputs` for delta
+    /// propagation, fit the encoders on its output (the plan executes
+    /// once), and build the model's incremental evaluator against `valid`.
     ///
     /// Models without an [`IncrementalLabelEval`] hook still work — the
     /// accuracy falls back to refitting `template` (the pipeline and cache
@@ -92,48 +100,71 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         inputs: &[(&str, &Table)],
         valid: Dataset,
     ) -> Result<IncrementalDebugSession<C>> {
-        let out = pipeline.fit_run(inputs, false)?;
         let session =
             PipelineSession::build(&Executor::new(), &pipeline.plan, pipeline.root, inputs)?;
-        let evaluator = template.incremental_eval(&out.dataset, &valid);
+        let dataset = pipeline.fit(session.table())?;
+        let evaluator = template.incremental_eval(&dataset, &valid);
         Ok(IncrementalDebugSession {
             template,
             pipeline,
             session,
             valid,
-            dataset: out.dataset,
+            dataset,
             evaluator,
             memo: MemoCache::new(),
             fixes_applied: 0,
             full_reencodes: 0,
             rows_reencoded: 0,
+            poisoned: false,
         })
     }
 
     /// Apply one accepted fix end to end and return what it touched.
     ///
     /// A cell fix re-encodes only the affected output rows and patches the
-    /// evaluator; a splice moves the surviving encoded rows through the
-    /// pipeline's row map and encodes only the inserted ones; a rerun (row
-    /// identity lost) re-encodes the whole dataset.
+    /// evaluator; a splice or rerun moves the surviving encoded rows
+    /// through the pipeline's row map and encodes only the rows nothing
+    /// maps to. A fix the pipeline session refuses leaves this session as
+    /// it was (a pipeline rerun that fails poisons the pipeline session,
+    /// which then refuses every later fix); a fix that fails after the
+    /// pipeline committed it poisons this session, and every later fix
+    /// returns [`CleaningError::Poisoned`].
     pub fn apply_fix(&mut self, delta: &Delta) -> Result<FixReport> {
-        let outcome = self.session.apply(delta)?;
+        if self.poisoned {
+            return Err(CleaningError::Poisoned(
+                "an earlier fix failed half-applied; rebuild the session".into(),
+            ));
+        }
+        let applied = self.session.apply(delta)?;
         self.fixes_applied += 1;
+        let report = self.follow(applied);
+        if report.is_err() {
+            self.poisoned = true;
+        }
+        report
+    }
+
+    /// Bring the dataset, evaluator and cache in line with a delta the
+    /// pipeline session has already committed.
+    fn follow(&mut self, outcome: DeltaOutcome) -> Result<FixReport> {
         let rows = outcome.affected_rows;
         let evictions = match (outcome.path, outcome.row_map) {
             (DeltaPath::CellPatch, _) => self.patch_rows(&rows)?,
-            (DeltaPath::Splice, Some(map)) => self.splice_rows(&map, &rows)?,
-            (DeltaPath::Splice, None) => {
-                return Err(CleaningError::InvalidArgument(
-                    "splice outcome carries no row map".into(),
-                ))
+            (DeltaPath::Splice | DeltaPath::Rerun, Some(map)) => self.splice_rows(&map, &rows)?,
+            (path, None) => {
+                return Err(CleaningError::InvalidArgument(format!(
+                    "{path:?} outcome carries no row map"
+                )))
             }
-            (DeltaPath::Rerun, _) => self.rebuild()?,
         };
+        let reencoded_all = !rows.is_empty() && rows.len() == self.table().n_rows();
+        if reencoded_all {
+            self.full_reencodes += 1;
+        }
         Ok(FixReport {
             path: outcome.path,
             affected_rows: rows,
-            reencoded_all: outcome.path == DeltaPath::Rerun,
+            reencoded_all,
             cache_evictions: evictions,
             accuracy: self.accuracy()?,
         })
@@ -174,12 +205,13 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         Ok(self.memo.invalidate_members(rows))
     }
 
-    /// Follow a splice: move the surviving encoded rows through `row_map`
-    /// (old output row → new, `None` = gone), encode only the `inserted`
-    /// rows, and splice the evaluator the same way. Surviving rows keep
-    /// their content (the pipeline's splice is value-preserving), so the
-    /// result is bit-identical to a full re-encode. The memo cache names
-    /// rows by index, which just moved — it is emptied.
+    /// Follow a splice or rerun: move the surviving encoded rows through
+    /// `row_map` (old output row → new, `None` = gone or changed), encode
+    /// only the `inserted` rows, and splice the evaluator the same way.
+    /// Surviving rows keep their content (the pipeline's row map is
+    /// value-preserving), so the result is bit-identical to a full
+    /// re-encode. The memo cache names rows by index, which just moved — it
+    /// is emptied. Returns the number of evicted entries.
     fn splice_rows(&mut self, row_map: &[Option<usize>], inserted: &[usize]) -> Result<usize> {
         let table = self.session.table();
         let n = table.n_rows();
@@ -208,27 +240,6 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         if let Some(hook) = self.evaluator.as_mut() {
             hook.splice(row_map, &self.dataset)?;
         }
-        let evictions = self.memo.len();
-        self.memo = MemoCache::new();
-        Ok(evictions)
-    }
-
-    /// Full re-encode after a rerun: fresh dataset, fresh evaluator, empty
-    /// cache. Returns the number of evicted cache entries.
-    fn rebuild(&mut self) -> Result<usize> {
-        self.full_reencodes += 1;
-        let table = self.session.table();
-        if table.n_rows() == 0 {
-            return Err(CleaningError::InvalidArgument(
-                "fix removed every training row".into(),
-            ));
-        }
-        let rows: Vec<usize> = (0..table.n_rows()).collect();
-        self.rows_reencoded += rows.len();
-        let (x, y) = self.pipeline.encode_rows(table, &rows)?;
-        let n_classes = self.pipeline.label_encoder()?.n_classes();
-        self.dataset = Dataset::new(x, y, n_classes)?;
-        self.evaluator = self.template.incremental_eval(&self.dataset, &self.valid);
         let evictions = self.memo.len();
         self.memo = MemoCache::new();
         Ok(evictions)
@@ -269,7 +280,8 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     }
 
     /// `(fixes applied, full re-encodes, rows re-encoded)` — the work
-    /// accounting E16 reports.
+    /// accounting E16 reports. A full re-encode is a fix whose report has
+    /// `reencoded_all` set.
     pub fn stats(&self) -> (usize, usize, usize) {
         (self.fixes_applied, self.full_reencodes, self.rows_reencoded)
     }
@@ -467,6 +479,87 @@ mod tests {
         assert_eq!(fixes, 3);
         assert_eq!(full, 0);
         assert_eq!(rows, rows_before + 1, "exactly one row re-encoded");
+    }
+
+    #[test]
+    fn rerun_fix_follows_the_row_map_and_matches_full_rebuild() {
+        let mut s = HiringScenario::generate(90, 41);
+        let knn = KnnClassifier::new(3);
+        let valid = valid_set(42);
+        let truth = truth_pipeline(&s);
+        let mut session = IncrementalDebugSession::build(
+            knn.clone(),
+            FeaturePipeline::hiring(8),
+            &inputs(&s),
+            valid.clone(),
+        )
+        .unwrap();
+        // Moving a healthcare job out of the filter is a routing change.
+        let job = (0..s.job_details.n_rows())
+            .find(|&r| s.job_details.get(r, "sector").unwrap() == Value::Str("healthcare".into()))
+            .unwrap();
+        for sector in ["tech", "healthcare"] {
+            let report = session
+                .apply_fix(&Delta::Update {
+                    source: "jobdetail_df".into(),
+                    row: job,
+                    column: "sector".into(),
+                    value: Value::Str(sector.into()),
+                })
+                .unwrap();
+            assert_eq!(report.path, DeltaPath::Rerun);
+            assert!(!report.reencoded_all);
+            assert!(report.affected_rows.len() < session.table().n_rows());
+            s.job_details
+                .set(job, "sector", Value::Str(sector.into()))
+                .unwrap();
+            let (want, want_ds) = fresh_accuracy(&knn, &truth, &inputs(&s), &valid);
+            assert_eq!(report.accuracy.to_bits(), want.to_bits());
+            assert_dataset_bits_eq(session.dataset(), &want_ds);
+        }
+        let (fixes, full, _) = session.stats();
+        assert_eq!((fixes, full), (2, 0), "no rerun re-encodes everything");
+    }
+
+    #[test]
+    fn a_fix_that_fails_half_applied_poisons_the_session() {
+        let s = HiringScenario::generate(40, 43);
+        let mut session = IncrementalDebugSession::build(
+            KnnClassifier::new(3),
+            FeaturePipeline::hiring(8),
+            &inputs(&s),
+            valid_set(44),
+        )
+        .unwrap();
+        // Rejected up front: the session stays usable.
+        let oob = Delta::Delete {
+            source: "train_df".into(),
+            row: 10_000,
+        };
+        assert!(matches!(
+            session.apply_fix(&oob),
+            Err(CleaningError::Pipeline(_))
+        ));
+        // Delete letters until the pipeline output is empty: that fix fails
+        // after the pipeline committed it.
+        let err = loop {
+            match session.apply_fix(&Delta::Delete {
+                source: "train_df".into(),
+                row: 0,
+            }) {
+                Ok(_) => continue,
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, CleaningError::InvalidArgument(_)), "{err}");
+        assert_eq!(session.table().n_rows(), 0);
+        let err = session
+            .apply_fix(&Delta::Insert {
+                source: "train_df".into(),
+                values: s.letters.row(0).unwrap(),
+            })
+            .unwrap_err();
+        assert!(matches!(err, CleaningError::Poisoned(_)), "{err}");
     }
 
     #[test]

@@ -53,7 +53,8 @@ impl CleaningRun {
 /// longer exists once repairs have been applied in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CleaningCheckpoint {
-    /// Name of the strategy that wrote the snapshot.
+    /// The writing run's strategy with its parameters
+    /// ([`Strategy::spec`], e.g. `knn-shapley(k=3)`).
     pub strategy: String,
     /// Rows sent to the oracle per round by the run that wrote it.
     pub batch: usize,
@@ -79,8 +80,8 @@ pub struct CleaningCheckpoint {
 
 impl CleaningCheckpoint {
     /// Reject a snapshot that was written by a differently configured run:
-    /// another strategy, batch size or rescoring policy, or another
-    /// dataset shape.
+    /// another strategy or strategy parameters ([`Strategy::spec`]), batch
+    /// size or rescoring policy, or another dataset shape.
     pub fn validate_against(
         &self,
         strategy: &str,
@@ -278,7 +279,8 @@ pub fn prioritized_cleaning_robust<C: Classifier>(
 /// [`CleaningCheckpoint`] the interrupted call returned and cleaning
 /// continues with the next round — same repairs, same trace, same oracle
 /// picks — exactly as if the run had never stopped. A snapshot from a
-/// different strategy, batch size, rescoring policy or dataset shape is
+/// different strategy (or the same strategy with other parameters), batch
+/// size, rescoring policy or dataset shape is
 /// rejected with [`CleaningError::Checkpoint`]. Always pass the *original* dirty
 /// dataset; the snapshot carries the repairs.
 #[allow(clippy::too_many_arguments)] // the loop’s knobs are individually meaningful
@@ -319,7 +321,7 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
     let (mut clock, mut run, mut cleaned_set, mut order, mut cleaned_total, mut oracle_retries);
     match resume {
         Some(cp) => {
-            cp.validate_against(strategy.name(), batch, rescore, dirty)?;
+            cp.validate_against(&strategy.spec(), batch, rescore, dirty)?;
             current.y = cp.y.clone();
             clock = budget.resume(cp.rounds_done, cp.utility_calls);
             run = CleaningRun {
@@ -424,7 +426,7 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
     }
     let diagnostics = clock.diagnostics(None);
     let snapshot = CleaningCheckpoint {
-        strategy: strategy.name().to_string(),
+        strategy: strategy.spec(),
         batch,
         rescore,
         rounds_done: clock.iterations(),
@@ -759,6 +761,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(idem.run, plain);
+    }
+
+    #[test]
+    fn resume_under_other_strategy_parameters_is_rejected() {
+        let (dirty, valid, oracle) = setup();
+        let knn = KnnClassifier::new(3);
+        let run = |strategy: &Strategy, resume: Option<&CleaningCheckpoint>| {
+            prioritized_cleaning_resumable(
+                &knn,
+                &dirty,
+                &oracle,
+                &valid,
+                strategy,
+                5,
+                4,
+                true,
+                MaintenanceMode::Rerun,
+                &RunBudget::unlimited().with_max_iterations(2),
+                &RetryPolicy::none(),
+                resume,
+            )
+        };
+        let (_, snap) = run(&Strategy::KnnShapley { k: 3 }, None).unwrap();
+        assert_eq!(snap.strategy, "knn-shapley(k=3)");
+        // With rescoring every round re-ranks under the resuming strategy,
+        // so another k would silently change which rows later rounds pick.
+        for other in [Strategy::KnnShapley { k: 5 }, Strategy::Random { seed: 3 }] {
+            let err = run(&other, Some(&snap)).unwrap_err();
+            assert!(matches!(err, CleaningError::Checkpoint(_)), "{err}");
+        }
+        assert!(run(&Strategy::KnnShapley { k: 3 }, Some(&snap)).is_ok());
+        let (_, snap) = run(&Strategy::Random { seed: 1 }, None).unwrap();
+        let err = run(&Strategy::Random { seed: 2 }, Some(&snap)).unwrap_err();
+        assert!(matches!(err, CleaningError::Checkpoint(_)), "{err}");
     }
 
     #[test]

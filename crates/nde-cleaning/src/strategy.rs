@@ -64,6 +64,37 @@ impl Strategy {
         }
     }
 
+    /// Canonical parameterised form, e.g. `knn-shapley(k=3)`: the name plus
+    /// every parameter that can change the cleaning order, so two specs
+    /// are equal exactly when the strategies rank alike. Worker-thread
+    /// counts are left out: every estimator is bit-identical at any count.
+    pub fn spec(&self) -> String {
+        let params = match self {
+            Strategy::Random { seed } => format!("seed={seed}"),
+            Strategy::KnnShapley { k } => format!("k={k}"),
+            Strategy::Loo => String::new(),
+            Strategy::TmcShapley(c) => format!(
+                "permutations={},truncation_tolerance={:?},seed={}",
+                c.permutations, c.truncation_tolerance, c.seed
+            ),
+            Strategy::Banzhaf(c) => format!("samples={},seed={}", c.samples, c.seed),
+            Strategy::BetaShapley(c) => format!(
+                "alpha={:?},beta={:?},samples_per_point={},seed={}",
+                c.alpha, c.beta, c.samples_per_point, c.seed
+            ),
+            Strategy::Aum(c) => format!(
+                "epochs={},learning_rate={:?},l2={:?},seed={}",
+                c.epochs, c.learning_rate, c.l2, c.seed
+            ),
+            Strategy::ConfidentLearning(c) => format!("folds={},seed={}", c.folds, c.seed),
+            Strategy::Influence(c) => format!(
+                "l2={:?},train_steps={},learning_rate={:?}",
+                c.l2, c.train_steps, c.learning_rate
+            ),
+        };
+        format!("{}({params})", self.name())
+    }
+
     /// Rank the training examples: indices in cleaning order (clean first).
     pub fn rank(&self, train: &Dataset, valid: &Dataset) -> Result<Vec<usize>> {
         let order = match self {
@@ -190,6 +221,31 @@ mod tests {
             shapley_hits >= 4,
             "shapley found only {shapley_hits}/6 flips"
         );
+    }
+
+    #[test]
+    fn spec_names_every_ranking_parameter_but_threads() {
+        assert_eq!(Strategy::KnnShapley { k: 3 }.spec(), "knn-shapley(k=3)");
+        assert_eq!(Strategy::Random { seed: 9 }.spec(), "random(seed=9)");
+        assert_eq!(Strategy::Loo.spec(), "loo()");
+        let tmc = |threads, seed| {
+            Strategy::TmcShapley(ShapleyConfig {
+                threads,
+                seed,
+                ..Default::default()
+            })
+            .spec()
+        };
+        assert_eq!(tmc(1, 0), tmc(4, 0));
+        assert_ne!(tmc(1, 0), tmc(1, 1));
+        let aum = |l2| {
+            Strategy::Aum(AumConfig {
+                l2,
+                ..Default::default()
+            })
+            .spec()
+        };
+        assert_ne!(aum(0.01), aum(0.02));
     }
 
     #[test]

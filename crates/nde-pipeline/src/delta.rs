@@ -4,25 +4,31 @@
 //! label, correct a rating, drop a duplicate — and re-evaluates the model
 //! after each. Re-running the whole pipeline per fix costs milliseconds for
 //! work whose footprint is a handful of rows. A [`PipelineSession`] keeps
-//! the executed run alive (every operator's table, routing trace, and
-//! provenance) and applies a single-tuple [`Delta`] by pushing it *forward*
-//! through the operator DAG:
+//! the executed run alive (every operator's table and routing trace) and
+//! applies a single-tuple [`Delta`] by pushing it *forward* through the
+//! operator DAG:
 //!
 //! - **Cell patch** ([`DeltaPath::CellPatch`]): an [`Delta::Update`] that
 //!   cannot change any routing decision (join keys, filter predicates,
 //!   distinct keys untouched) patches the changed cells of affected rows in
-//!   place. Provenance is untouched — routing is identical by construction.
+//!   place. Routing is identical by construction.
 //! - **Splice** ([`DeltaPath::Splice`]): an [`Delta::Insert`] or
 //!   [`Delta::Delete`] re-decides routing only where the changed tuple can
-//!   reach, carrying a per-node row map (old row → new row). The provenance
-//!   arena is then rebuilt by replaying interning in the recorded evaluation
-//!   order, which reproduces the arena a fresh run would build *bit for
-//!   bit* (hash-consing is deterministic in interning order).
+//!   reach, carrying a per-node row map (old row → new row).
 //! - **Rerun** ([`DeltaPath::Rerun`]): anything the incremental paths
 //!   cannot prove safe (a join-key update, an operator error on a spliced
 //!   row) falls back to full re-execution — so every apply, whatever path
 //!   it takes, leaves the session in exactly the state a fresh run over the
-//!   mutated inputs would produce.
+//!   mutated inputs would produce. Row identity survives the rerun: the old
+//!   and new routing traces are diffed bottom-up into the same monotone row
+//!   maps a splice builds, starting from the source delta (an update
+//!   replaces its row, so that row maps to nothing and is re-inserted).
+//!
+//! The session holds no provenance. Routing traces determine it: a fresh
+//! provenance-tracked run interns arena nodes in the recorded evaluation
+//! order, so [`PipelineSession::lineage`] replays that interning on demand
+//! and reproduces the arena *bit for bit* (hash-consing is deterministic in
+//! interning order). No apply pays for provenance nobody reads.
 //!
 //! The differential test suite (`tests/tests/incremental_delta.rs`) holds
 //! the session to that contract: identical output table, identical lineage
@@ -92,12 +98,13 @@ pub enum MaintenanceMode {
 /// Which propagation path an [`PipelineSession::apply`] call took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaPath {
-    /// Cells patched in place; routing and provenance untouched.
+    /// Cells patched in place; routing untouched.
     CellPatch,
-    /// Routing re-decided along the changed tuple's reach; arena replayed.
+    /// Routing re-decided along the changed tuple's reach.
     Splice,
     /// Full re-execution (routing-relevant update, or an incremental path
-    /// that could not complete).
+    /// that could not complete); the row map is recovered by diffing the
+    /// old and new routing traces.
     Rerun,
 }
 
@@ -122,21 +129,26 @@ pub struct DeltaStats {
 pub struct DeltaOutcome {
     /// The propagation path taken.
     pub path: DeltaPath,
-    /// Root output rows whose content changed (cell patch), were newly
-    /// produced (splice), or all rows (rerun). Ascending.
+    /// Root output rows whose content changed (cell patch), or that no
+    /// old row maps to (splice, rerun): the only rows a consumer must
+    /// re-derive. Ascending.
     pub affected_rows: Vec<usize>,
-    /// For [`DeltaPath::Splice`]: where each *old* root row went
-    /// (`None` = row no longer exists). Absent on the other paths (cell
-    /// patch keeps rows in place; rerun invalidates all row identity).
+    /// For [`DeltaPath::Splice`] and [`DeltaPath::Rerun`]: where each
+    /// *old* root row went (`None` = the row no longer exists, or its
+    /// content changed). The map is monotone and value-preserving: a mapped
+    /// new row is bit-identical to its old row. Absent on a cell patch,
+    /// which keeps rows in place.
     pub row_map: Option<Vec<Option<usize>>>,
 }
 
-/// Per-node row bookkeeping for a splice: how the node's old output rows
-/// map into its new output, which new rows have no old counterpart, and
-/// the new row count. Maps are monotone (old row order is preserved).
+/// Per-node row bookkeeping for a splice or a rerun: how the node's old
+/// output rows map into its new output, which new rows have no old
+/// counterpart, and the new row count. Maps are monotone (old row order is
+/// preserved) and value-preserving (a mapped row keeps its content).
 #[derive(Debug, Clone)]
 struct NodeDelta {
-    /// `map[old_row]` = new row, or `None` if the row disappeared.
+    /// `map[old_row]` = new row, or `None` if the row disappeared or its
+    /// content changed.
     map: Vec<Option<usize>>,
     /// New rows with no old counterpart, ascending.
     inserted: Vec<usize>,
@@ -153,6 +165,72 @@ impl NodeDelta {
             inserted: Vec::new(),
             new_len: len,
             identity: true,
+        }
+    }
+
+    /// A source table after row `row` of `len` was replaced in place: the
+    /// row's content changed, so it maps to nothing and is re-inserted.
+    fn replaced(len: usize, row: usize) -> NodeDelta {
+        let mut delta = NodeDelta::identity(len);
+        delta.map[row] = None;
+        delta.inserted.push(row);
+        delta.identity = false;
+        delta
+    }
+
+    /// A source table after one row was appended to its `len` rows.
+    fn appended(len: usize) -> NodeDelta {
+        let mut delta = NodeDelta::identity(len);
+        delta.inserted.push(len);
+        delta.new_len = len + 1;
+        delta.identity = false;
+        delta
+    }
+
+    /// A source table after row `row` of `len` was removed.
+    fn removed(len: usize, row: usize) -> NodeDelta {
+        NodeDelta {
+            map: (0..len)
+                .map(|i| match i.cmp(&row) {
+                    std::cmp::Ordering::Less => Some(i),
+                    std::cmp::Ordering::Equal => None,
+                    std::cmp::Ordering::Greater => Some(i - 1),
+                })
+                .collect(),
+            inserted: Vec::new(),
+            new_len: len - 1,
+            identity: false,
+        }
+    }
+
+    /// Match each old row's routing key, pushed through the child row maps
+    /// (`None` = a child row it came from is gone), against the new routing
+    /// keys. Both sequences ascend (child maps are monotone), so one merge
+    /// pass finds every old row the new run reproduced.
+    fn matching<K: Ord + Copy>(old: impl Iterator<Item = Option<K>>, new: &[K]) -> NodeDelta {
+        let mut map = Vec::new();
+        let mut hit = vec![false; new.len()];
+        let mut p = 0usize;
+        for key in old {
+            let target = key.and_then(|k| {
+                while p < new.len() && new[p] < k {
+                    p += 1;
+                }
+                (p < new.len() && new[p] == k).then(|| {
+                    p += 1;
+                    p - 1
+                })
+            });
+            if let Some(n) = target {
+                hit[n] = true;
+            }
+            map.push(target);
+        }
+        NodeDelta {
+            map,
+            inserted: (0..new.len()).filter(|&n| !hit[n]).collect(),
+            new_len: new.len(),
+            identity: false,
         }
     }
 
@@ -241,12 +319,12 @@ fn fuzzy_best(lv: &str, right: &Table, right_key: &str, threshold: f64) -> Resul
 
 /// A live, incrementally maintainable pipeline run.
 ///
-/// [`PipelineSession::build`] executes the plan once (with provenance and
-/// routing traces); [`PipelineSession::apply`] then folds single-tuple
-/// source changes into the run. After every apply — whichever
+/// [`PipelineSession::build`] executes the plan once (recording routing
+/// traces, not provenance); [`PipelineSession::apply`] then folds
+/// single-tuple source changes into the run. After every apply — whichever
 /// [`DeltaPath`] it takes — [`PipelineSession::table`] and
 /// [`PipelineSession::lineage`] are bit-identical to a fresh
-/// [`Executor::run`] over the mutated inputs.
+/// provenance-tracked [`Executor::run`] over the mutated inputs.
 #[derive(Debug, Clone)]
 pub struct PipelineSession {
     executor: Executor,
@@ -259,8 +337,6 @@ pub struct PipelineSession {
     order: Vec<usize>,
     traces: FxHashMap<usize, NodeTrace>,
     tables: FxHashMap<usize, Table>,
-    provs: FxHashMap<usize, Vec<ProvId>>,
-    arena: ProvArena,
     stats: DeltaStats,
     /// Set when a fallback rerun failed: the cached state no longer matches
     /// the mutated inputs, so further applies are refused.
@@ -269,10 +345,11 @@ pub struct PipelineSession {
 
 impl PipelineSession {
     /// Execute `root` of `plan` over `inputs` and capture the run for
-    /// incremental maintenance. Provenance tracking is forced on (the row
-    /// maps and arena replay depend on it); the executor must use
-    /// [`PanicPolicy::FailFast`] — quarantining rewrites routing per policy,
-    /// which delta propagation does not model.
+    /// incremental maintenance. The run records routing traces with
+    /// provenance tracking off (lineage is replayed from the traces on
+    /// demand); the executor must use [`PanicPolicy::FailFast`] —
+    /// quarantining rewrites routing per policy, which delta propagation
+    /// does not model.
     pub fn build(
         executor: &Executor,
         plan: &Plan,
@@ -284,7 +361,7 @@ impl PipelineSession {
                 "incremental maintenance requires PanicPolicy::FailFast".into(),
             ));
         }
-        let executor = executor.clone().with_provenance(true);
+        let executor = executor.clone().with_provenance(false);
         let source_names: Vec<String> =
             plan.source_names().into_iter().map(str::to_owned).collect();
         let mut by_name: FxHashMap<&str, &Table> = FxHashMap::default();
@@ -300,14 +377,7 @@ impl PipelineSession {
                     .ok_or_else(|| PipelineError::MissingInput(n.clone()))
             })
             .collect::<Result<_>>()?;
-        let (out, trace, memo) = executor.run_traced(plan, root, inputs)?;
-        let lineage = out.provenance.expect("provenance forced on");
-        let mut tables = FxHashMap::default();
-        let mut provs = FxHashMap::default();
-        for (idx, (table, prov)) in memo {
-            tables.insert(idx, table);
-            provs.insert(idx, prov.expect("provenance forced on"));
-        }
+        let (_, trace, memo) = executor.run_traced(plan, root, inputs)?;
         Ok(PipelineSession {
             executor,
             plan: plan.clone(),
@@ -316,9 +386,7 @@ impl PipelineSession {
             inputs: owned,
             order: trace.order,
             traces: trace.nodes,
-            tables,
-            provs,
-            arena: lineage.arena.clone(),
+            tables: memo.into_iter().map(|(idx, (t, _))| (idx, t)).collect(),
             stats: DeltaStats::default(),
             poisoned: false,
         })
@@ -329,17 +397,16 @@ impl PipelineSession {
         self.tables.get(&self.root.index()).expect("root present")
     }
 
-    /// The root lineage, assembled from the maintained arena and row ids.
-    /// Bit-identical (same arena nodes, same ids) to a fresh traced run
-    /// over the current inputs.
+    /// The root lineage, replayed from the maintained routing traces.
+    /// Bit-identical (same arena nodes, same ids) to a fresh
+    /// provenance-tracked run over the current inputs; costs one arena
+    /// build per call.
     pub fn lineage(&self) -> Lineage {
+        let (arena, mut provs) = self.replay_arena();
         Lineage::new(
             self.source_names.clone(),
-            self.arena.clone(),
-            self.provs
-                .get(&self.root.index())
-                .expect("root present")
-                .clone(),
+            arena,
+            provs.remove(&self.root.index()).expect("root present"),
         )
     }
 
@@ -377,42 +444,33 @@ impl PipelineSession {
             ));
         }
         let src = self.source_index(delta.source())?;
-        match delta {
+        let old_len = self.inputs[src].n_rows();
+        let source_delta = match delta {
             Delta::Update {
                 row, column, value, ..
             } => {
-                if *row >= self.inputs[src].n_rows() {
+                if *row >= old_len {
                     return Err(PipelineError::Delta(format!(
-                        "update row {row} out of bounds for `{}` ({} rows)",
+                        "update row {row} out of bounds for `{}` ({old_len} rows)",
                         delta.source(),
-                        self.inputs[src].n_rows()
                     )));
                 }
                 // `set` validates column and type before mutating.
                 self.inputs[src].set(*row, column, value.clone())?;
-                match self.cell_patch_walk(src, *row, column) {
-                    Ok(Some(plan)) => Ok(self.commit_cell_patch(plan)),
-                    // Structural change or an operator failure on the new
-                    // value: a full rerun reproduces rerun semantics
-                    // (including the error report) exactly.
-                    Ok(None) | Err(_) => self.rerun_fallback(),
+                // A structural change or an operator failure on the new
+                // value falls through to a full rerun, which reproduces
+                // rerun semantics (including the error report) exactly.
+                if let Ok(Some(plan)) = self.cell_patch_walk(src, *row, column) {
+                    return Ok(self.commit_cell_patch(plan));
                 }
+                return self.rerun_fallback(src, &NodeDelta::replaced(old_len, *row));
             }
             Delta::Insert { values, .. } => {
-                let old_len = self.inputs[src].n_rows();
                 // `push_row` validates arity and types atomically.
                 self.inputs[src].push_row(values.clone())?;
-                let mut source_delta = NodeDelta::identity(old_len);
-                source_delta.inserted.push(old_len);
-                source_delta.new_len = old_len + 1;
-                source_delta.identity = false;
-                match self.splice_walk(src, &source_delta) {
-                    Ok(Some(plan)) => Ok(self.commit_splice(plan)),
-                    Ok(None) | Err(_) => self.rerun_fallback(),
-                }
+                NodeDelta::appended(old_len)
             }
             Delta::Delete { row, .. } => {
-                let old_len = self.inputs[src].n_rows();
                 if *row >= old_len {
                     return Err(PipelineError::Delta(format!(
                         "delete row {row} out of bounds for `{}` ({old_len} rows)",
@@ -421,64 +479,118 @@ impl PipelineSession {
                 }
                 let survivors: Vec<usize> = (0..old_len).filter(|&i| i != *row).collect();
                 self.inputs[src] = self.inputs[src].take(&survivors)?;
-                let map: Vec<Option<usize>> = (0..old_len)
-                    .map(|i| match i.cmp(row) {
-                        std::cmp::Ordering::Less => Some(i),
-                        std::cmp::Ordering::Equal => None,
-                        std::cmp::Ordering::Greater => Some(i - 1),
-                    })
-                    .collect();
-                let source_delta = NodeDelta {
-                    map,
-                    inserted: Vec::new(),
-                    new_len: old_len - 1,
-                    identity: false,
-                };
-                match self.splice_walk(src, &source_delta) {
-                    Ok(Some(plan)) => Ok(self.commit_splice(plan)),
-                    Ok(None) | Err(_) => self.rerun_fallback(),
-                }
+                NodeDelta::removed(old_len, *row)
             }
+        };
+        match self.splice_walk(src, &source_delta) {
+            Ok(Some(plan)) => Ok(self.commit_splice(plan)),
+            Ok(None) | Err(_) => self.rerun_fallback(src, &source_delta),
         }
     }
 
     /// Full re-execution over the mutated inputs: the fallback that makes
-    /// every apply equivalent to rerun semantics. A failure here (e.g. the
-    /// new value makes an operator error) poisons the session — the cached
-    /// state no longer matches the inputs.
-    fn rerun_fallback(&mut self) -> Result<DeltaOutcome> {
+    /// every apply equivalent to rerun semantics. The old and new routing
+    /// traces are then diffed into a root row map, starting from
+    /// `source_delta` at source `src`. A failure here (e.g. the new value
+    /// makes an operator error) poisons the session — the cached state no
+    /// longer matches the inputs.
+    fn rerun_fallback(&mut self, src: usize, source_delta: &NodeDelta) -> Result<DeltaOutcome> {
         let refs: Vec<(&str, &Table)> = self
             .source_names
             .iter()
             .map(String::as_str)
             .zip(self.inputs.iter())
             .collect();
-        let run = self.executor.run_traced(&self.plan, self.root, &refs);
-        match run {
-            Ok((out, trace, memo)) => {
-                let lineage = out.provenance.expect("provenance forced on");
-                self.order = trace.order;
-                self.traces = trace.nodes;
-                self.tables.clear();
-                self.provs.clear();
-                for (idx, (table, prov)) in memo {
-                    self.tables.insert(idx, table);
-                    self.provs.insert(idx, prov.expect("provenance forced on"));
-                }
-                self.arena = lineage.arena.clone();
-                self.stats.applied += 1;
-                self.stats.reruns += 1;
-                Ok(DeltaOutcome {
-                    path: DeltaPath::Rerun,
-                    affected_rows: (0..self.table().n_rows()).collect(),
-                    row_map: None,
-                })
-            }
+        let (trace, memo) = match self.executor.run_traced(&self.plan, self.root, &refs) {
+            Ok((_, trace, memo)) => (trace, memo),
             Err(e) => {
                 self.poisoned = true;
-                Err(e)
+                return Err(e);
             }
+        };
+        let tables: FxHashMap<usize, Table> =
+            memo.into_iter().map(|(idx, (t, _))| (idx, t)).collect();
+        let root_delta = self.rerun_walk(src, source_delta, &trace.nodes, &tables);
+        self.order = trace.order;
+        self.traces = trace.nodes;
+        self.tables = tables;
+        self.stats.applied += 1;
+        self.stats.reruns += 1;
+        Ok(DeltaOutcome {
+            path: DeltaPath::Rerun,
+            affected_rows: root_delta.inserted,
+            row_map: Some(root_delta.map),
+        })
+    }
+
+    /// The rerun diff: walk the DAG bottom-up, pushing each old routing
+    /// decision through its children's row maps and matching it against
+    /// the new run's decisions. A node whose children are unchanged is
+    /// unchanged (operators are deterministic), so only the changed tuple's
+    /// reach is compared. Returns the root's map.
+    fn rerun_walk(
+        &self,
+        src: usize,
+        source_delta: &NodeDelta,
+        new_traces: &FxHashMap<usize, NodeTrace>,
+        new_tables: &FxHashMap<usize, Table>,
+    ) -> NodeDelta {
+        let mut deltas: FxHashMap<usize, NodeDelta> = FxHashMap::default();
+        for &idx in &self.order {
+            let children = self.plan.children(NodeId(idx)).expect("node present");
+            let old_len = self.tables.get(&idx).expect("table present").n_rows();
+            let child = |i: usize| &deltas[&children[i].index()];
+            let delta = match (&self.traces[&idx], &new_traces[&idx]) {
+                (NodeTrace::Source { source }, _) => {
+                    if *source as usize == src {
+                        source_delta.clone()
+                    } else {
+                        NodeDelta::identity(old_len)
+                    }
+                }
+                _ if children.iter().all(|c| deltas[&c.index()].identity) => {
+                    NodeDelta::identity(old_len)
+                }
+                (NodeTrace::Join { pairs: old }, NodeTrace::Join { pairs: new }) => {
+                    let (ld, rd) = (child(0), child(1));
+                    let keys = old.iter().map(|&(l, r)| {
+                        let r = match r {
+                            Some(r) => Some(rd.map[r]?),
+                            None => None, // a null pad stays a pad
+                        };
+                        Some((ld.map[l]?, r))
+                    });
+                    NodeDelta::matching(keys, new)
+                }
+                (NodeTrace::FuzzyJoin { pairs: old }, NodeTrace::FuzzyJoin { pairs: new }) => {
+                    let (ld, rd) = (child(0), child(1));
+                    let keys = old.iter().map(|&(l, r)| Some((ld.map[l]?, rd.map[r]?)));
+                    NodeDelta::matching(keys, new)
+                }
+                (NodeTrace::Filter { kept: old }, NodeTrace::Filter { kept: new })
+                | (NodeTrace::Project { kept: old }, NodeTrace::Project { kept: new }) => {
+                    let cd = child(0);
+                    NodeDelta::matching(old.iter().map(|&k| cd.map[k]), new)
+                }
+                (NodeTrace::Select, NodeTrace::Select) => child(0).clone(),
+                // A group's output row is its first occurrence: an old
+                // slot survives iff its first occurrence still is one.
+                (
+                    NodeTrace::Distinct { first_of: old, .. },
+                    NodeTrace::Distinct { first_of: new, .. },
+                ) => {
+                    let cd = child(0);
+                    NodeDelta::matching(old.iter().map(|&f| cd.map[f]), new)
+                }
+                (NodeTrace::Concat { left_rows }, NodeTrace::Concat { .. }) => {
+                    concat_delta(child(0), child(1), *left_rows, old_len)
+                }
+                _ => unreachable!("node {idx}: a trace's kind follows its plan node"),
+            };
+            debug_assert_eq!(delta.new_len, new_tables[&idx].n_rows(), "node {idx}");
+            deltas.insert(idx, delta);
         }
+        deltas.remove(&self.root.index()).expect("root visited")
     }
 
     fn commit_cell_patch(&mut self, plan: CellPatchPlan) -> DeltaOutcome {
@@ -502,7 +614,6 @@ impl PipelineSession {
         for (idx, tr) in plan.new_traces {
             self.traces.insert(idx, tr);
         }
-        self.replay_arena();
         self.stats.applied += 1;
         self.stats.splices += 1;
         self.stats.rows_patched += plan.root_delta.inserted.len();
@@ -513,11 +624,12 @@ impl PipelineSession {
         }
     }
 
-    /// Rebuild the provenance arena by replaying every node's interning in
+    /// Build the provenance arena by replaying every node's interning in
     /// the recorded evaluation order. Hash-consing is deterministic in
     /// interning order, so the result is bit-identical to the arena a fresh
-    /// traced run over the current inputs would build.
-    fn replay_arena(&mut self) {
+    /// provenance-tracked run over the current inputs would build. Returns
+    /// the arena and every node's per-row ids.
+    fn replay_arena(&self) -> (ProvArena, FxHashMap<usize, Vec<ProvId>>) {
         let mut arena = ProvArena::new();
         let mut provs: FxHashMap<usize, Vec<ProvId>> = FxHashMap::default();
         for &idx in &self.order {
@@ -571,8 +683,7 @@ impl PipelineSession {
             };
             provs.insert(idx, prov);
         }
-        self.arena = arena;
-        self.provs = provs;
+        (arena, provs)
     }
 
     /// The cell-patch walk: propagate `(source, row, column)` taint through
@@ -1059,23 +1170,8 @@ impl PipelineSession {
                             let mut t = lt.clone();
                             t.append(rt)?;
                             t.set_name(old_table.name());
-                            let mut map = Vec::with_capacity(old_table.n_rows());
-                            for i in 0..*left_rows {
-                                map.push(ld.map[i]);
-                            }
-                            for i in *left_rows..old_table.n_rows() {
-                                map.push(rd.map[i - left_rows].map(|n| n + ld.new_len));
-                            }
-                            let mut inserted = ld.inserted.clone();
-                            inserted.extend(rd.inserted.iter().map(|&n| n + ld.new_len));
-                            let delta = NodeDelta {
-                                map,
-                                inserted,
-                                new_len: ld.new_len + rd.new_len,
-                                identity: false,
-                            };
                             (
-                                delta,
+                                concat_delta(ld, rd, *left_rows, old_table.n_rows()),
                                 Some(t),
                                 Some(NodeTrace::Concat {
                                     left_rows: ld.new_len,
@@ -1111,6 +1207,26 @@ impl PipelineSession {
             new_traces,
             root_delta,
         }))
+    }
+}
+
+/// A concat's row map: the left input's rows, then the right input's
+/// shifted past the new left length.
+fn concat_delta(ld: &NodeDelta, rd: &NodeDelta, left_rows: usize, old_len: usize) -> NodeDelta {
+    let mut map = Vec::with_capacity(old_len);
+    map.extend_from_slice(&ld.map[..left_rows]);
+    map.extend(
+        rd.map[..old_len - left_rows]
+            .iter()
+            .map(|n| n.map(|n| n + ld.new_len)),
+    );
+    let mut inserted = ld.inserted.clone();
+    inserted.extend(rd.inserted.iter().map(|&n| n + ld.new_len));
+    NodeDelta {
+        map,
+        inserted,
+        new_len: ld.new_len + rd.new_len,
+        identity: false,
     }
 }
 
@@ -1375,12 +1491,15 @@ mod tests {
             .collect();
         let fresh = session
             .executor
+            .clone()
+            .with_provenance(true)
             .run_traced(&session.plan, session.root, &inputs)
             .expect("fresh run succeeds");
         let (out, trace, memo) = fresh;
         assert_eq!(session.table(), &out.table, "root table diverged");
         let lineage = out.provenance.expect("provenance on");
         assert_eq!(session.lineage(), lineage, "lineage diverged");
+        let (_, provs) = session.replay_arena();
         assert_eq!(session.order, trace.order, "evaluation order diverged");
         for (idx, tr) in &trace.nodes {
             assert_eq!(
@@ -1396,7 +1515,7 @@ mod tests {
                 "table diverged at node {idx}"
             );
             assert_eq!(
-                session.provs.get(idx).cloned(),
+                provs.get(idx).cloned(),
                 prov.clone(),
                 "provenance ids diverged at node {idx}"
             );
@@ -1407,10 +1526,168 @@ mod tests {
     fn build_captures_a_run() {
         let s = HiringScenario::generate(60, 3);
         let (plan, root) = Plan::hiring_pipeline();
-        let session =
+        for threads in [1, 4] {
+            let executor = Executor::new().with_threads(threads);
+            let session =
+                PipelineSession::build(&executor, &plan, root, &hiring_inputs(&s)).unwrap();
+            assert!(session.table().n_rows() > 0);
+            // The session tracks no provenance; its replayed lineage is
+            // a fresh provenance-tracked run's.
+            let fresh = executor
+                .with_provenance(true)
+                .run(&plan, root, &hiring_inputs(&s))
+                .unwrap();
+            assert_eq!(
+                Some(session.lineage()),
+                fresh.provenance,
+                "threads={threads}"
+            );
+            assert_matches_fresh(&session);
+        }
+    }
+
+    /// The three properties a rerun's row map owes its consumers: it is
+    /// monotone, every mapped new row equals its old row, and every new row
+    /// nothing maps to derives from the changed tuple or has no old twin.
+    fn assert_rerun_map_sound(
+        before: &Table,
+        session: &PipelineSession,
+        outcome: &DeltaOutcome,
+        changed: TupleId,
+    ) {
+        assert_eq!(outcome.path, DeltaPath::Rerun);
+        let map = outcome.row_map.as_ref().expect("a rerun carries a row map");
+        assert_eq!(map.len(), before.n_rows());
+        let after = session.table();
+        let mapped: Vec<usize> = map.iter().flatten().copied().collect();
+        assert!(mapped.windows(2).all(|w| w[0] < w[1]), "monotone");
+        for (old, new) in map.iter().enumerate() {
+            if let Some(new) = new {
+                assert_eq!(before.row(old).unwrap(), after.row(*new).unwrap(), "{old}");
+            }
+        }
+        let mut hit = vec![false; after.n_rows()];
+        for &n in &mapped {
+            hit[n] = true;
+        }
+        let unmapped: Vec<usize> = (0..after.n_rows()).filter(|&n| !hit[n]).collect();
+        assert_eq!(outcome.affected_rows, unmapped);
+        let lineage = session.lineage();
+        let old_rows: Vec<Vec<Value>> = (0..before.n_rows())
+            .map(|r| before.row(r).unwrap())
+            .collect();
+        for n in unmapped {
+            let row = after.row(n).unwrap();
+            assert!(
+                lineage.row_tuples(n).contains(&changed) || !old_rows.contains(&row),
+                "unmapped row {n} neither derives from {changed:?} nor is new"
+            );
+        }
+    }
+
+    #[test]
+    fn rerun_row_map_is_monotone_value_preserving_and_local() {
+        let s = HiringScenario::generate(120, 23);
+        let (plan, root) = Plan::hiring_pipeline();
+        let mut session =
             PipelineSession::build(&Executor::new(), &plan, root, &hiring_inputs(&s)).unwrap();
-        assert!(session.table().n_rows() > 0);
-        assert_eq!(session.lineage().n_rows(), session.table().n_rows());
+        let jobs = session.source_index("jobdetail_df").unwrap() as u32;
+        let letters = session.source_index("train_df").unwrap() as u32;
+        let healthcare = (0..s.job_details.n_rows())
+            .find(|&r| s.job_details.get(r, "sector").unwrap() == Value::Str("healthcare".into()))
+            .unwrap();
+        let other_job = s
+            .job_details
+            .get((healthcare + 1) % s.job_details.n_rows(), "job_id");
+        let fixes = [
+            // A healthcare job leaves the filter, then comes back.
+            (jobs, healthcare, "sector", Value::Str("tech".into())),
+            (jobs, healthcare, "sector", Value::Str("healthcare".into())),
+            // Join-key updates: letters move between jobs.
+            (letters, 3, "job_id", other_job.unwrap()),
+            (
+                letters,
+                5,
+                "job_id",
+                s.job_details.get(healthcare, "job_id").unwrap(),
+            ),
+            (letters, 8, "job_id", Value::Int(1_000_000)),
+        ];
+        let n_fixes = fixes.len() + 1;
+        // A letter whose social row is gone keeps its null pad when its
+        // `person_id` (the left join's key) moves to another unmatched
+        // value: same routing, new content, so the row must not map.
+        let pid = session.table().get(0, "person_id").unwrap();
+        let social_row = (0..s.social.n_rows())
+            .find(|&r| s.social.get(r, "person_id").unwrap() == pid)
+            .unwrap();
+        let letter_row = (0..s.letters.n_rows())
+            .find(|&r| s.letters.get(r, "person_id").unwrap() == pid)
+            .unwrap();
+        session
+            .apply(&Delta::Delete {
+                source: "social_df".into(),
+                row: social_row,
+            })
+            .unwrap();
+        let fixes =
+            fixes
+                .into_iter()
+                .chain([(letters, letter_row, "person_id", Value::Int(9_999_999))]);
+        for (source, row, column, value) in fixes {
+            let before = session.table().clone();
+            let outcome = session
+                .apply(&Delta::Update {
+                    source: session.source_names()[source as usize].clone(),
+                    row,
+                    column: column.into(),
+                    value,
+                })
+                .unwrap();
+            assert_rerun_map_sound(
+                &before,
+                &session,
+                &outcome,
+                TupleId::new(source, row as u32),
+            );
+            assert!(outcome.affected_rows.len() < session.table().n_rows());
+            assert_matches_fresh(&session);
+        }
+        assert_eq!(session.stats().reruns, n_fixes);
+    }
+
+    #[test]
+    fn rerun_unmaps_rows_whose_right_join_tuple_changed() {
+        // `salary_band` feeds the filter, so updating it reruns even when
+        // every row keeps its routing; the band is visible in the output,
+        // so the changed job's rows must not map.
+        let s = HiringScenario::generate(80, 29);
+        let mut plan = Plan::new();
+        let letters = plan.source("train_df");
+        let jobs = plan.source("jobdetail_df");
+        let joined = plan.join(letters, jobs, "job_id", "job_id", JoinType::Inner);
+        let root = plan.filter(joined, Expr::col("salary_band").gt(Expr::int(0)));
+        let inputs = &hiring_inputs(&s)[..2];
+        let mut session = PipelineSession::build(&Executor::new(), &plan, root, inputs).unwrap();
+        let job = s.letters.get(0, "job_id").unwrap().as_int().unwrap() as usize;
+        let band = s
+            .job_details
+            .get(job, "salary_band")
+            .unwrap()
+            .as_int()
+            .unwrap();
+        let before = session.table().clone();
+        let outcome = session
+            .apply(&Delta::Update {
+                source: "jobdetail_df".into(),
+                row: job,
+                column: "salary_band".into(),
+                value: Value::Int(band + 10),
+            })
+            .unwrap();
+        assert_rerun_map_sound(&before, &session, &outcome, TupleId::new(1, job as u32));
+        assert_eq!(session.table().n_rows(), before.n_rows());
+        assert!(!outcome.affected_rows.is_empty());
         assert_matches_fresh(&session);
     }
 
@@ -1598,6 +1875,22 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.path, DeltaPath::Splice);
         assert_matches_fresh(&session);
+
+        // Fuzzy-join key updates rerun; the diff walks fuzzy join, concat,
+        // distinct and selection.
+        for (row, employer) in [(1, "initech"), (0, "globex corp")] {
+            let before = session.table().clone();
+            let outcome = session
+                .apply(&Delta::Update {
+                    source: "mentions".into(),
+                    row,
+                    column: "employer".into(),
+                    value: employer.into(),
+                })
+                .unwrap();
+            assert_rerun_map_sound(&before, &session, &outcome, TupleId::new(0, row as u32));
+            assert_matches_fresh(&session);
+        }
     }
 
     #[test]

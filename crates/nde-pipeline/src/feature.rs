@@ -99,21 +99,28 @@ impl FeaturePipeline {
         let out = Executor::new()
             .with_provenance(track_provenance)
             .run(&self.plan, self.root, inputs)?;
-        if out.table.n_rows() == 0 {
+        Ok(FeatureOutput {
+            dataset: self.fit(&out.table)?,
+            table: out.table,
+            lineage: out.provenance,
+        })
+    }
+
+    /// **Fit** the feature and label encoders on an already executed plan
+    /// output and return it encoded — [`Self::fit_run`] without the run,
+    /// for callers that hold the output table already.
+    pub fn fit(&mut self, table: &Table) -> Result<Dataset> {
+        if table.n_rows() == 0 {
             return Err(PipelineError::InvalidPlan(
                 "pipeline produced zero training rows".into(),
             ));
         }
-        let label_encoder = LabelEncoder::fit(&out.table, &self.label_column)?;
-        let x = self.encoder.fit_transform(&out.table)?;
-        let y = label_encoder.encode_column(&out.table, &self.label_column)?;
+        let label_encoder = LabelEncoder::fit(table, &self.label_column)?;
+        let x = self.encoder.fit_transform(table)?;
+        let y = label_encoder.encode_column(table, &self.label_column)?;
         let n_classes = label_encoder.n_classes();
         self.label_encoder = Some(label_encoder);
-        Ok(FeatureOutput {
-            dataset: Dataset::new(x, y, n_classes)?,
-            table: out.table,
-            lineage: out.provenance,
-        })
+        Ok(Dataset::new(x, y, n_classes)?)
     }
 
     /// Encode only the given rows of a plan-output table with the **already

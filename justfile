@@ -95,7 +95,8 @@ example-resume:
 # Benchmark build smoke: the benchmark is a workspace of its own, so a
 # library API change can break it without the workspace build noticing.
 # Runs its unit tests and one short run of each workload, whose last
-# stdout line must report correct outputs and no failed operations.
+# stdout line must report correct outputs and no failed operations, then
+# a short traced fix-stream run that must report no full re-encode.
 perfbench-smoke:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
     for w in fix-stream hiring-session; do \
@@ -103,6 +104,10 @@ perfbench-smoke:
         grep -q '"correct": true' /tmp/nde_perfbench_$w.txt || exit 1; \
         grep -q '"failed": 0' /tmp/nde_perfbench_$w.txt || exit 1; \
     done
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload fix-stream --seconds 1 --trace 1 2>/dev/null | tail -n 1 > /tmp/nde_perfbench_fix_traced.txt
+    grep -q '"correct": true' /tmp/nde_perfbench_fix_traced.txt
+    grep -q '"failed": 0' /tmp/nde_perfbench_fix_traced.txt
+    grep -q '"cleaning.full_reencodes": {"value": 0.0' /tmp/nde_perfbench_fix_traced.txt
 
 # Format and lint.
 lint:

@@ -11,13 +11,14 @@ use nde_cleaning::{
 };
 use nde_data::generate::blobs::two_gaussians;
 use nde_data::generate::hiring::HiringScenario;
+use nde_data::rng::{seeded, Rng, StdRng};
 use nde_data::{Table, Value};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::Executor;
 use nde_pipeline::feature::FeaturePipeline;
-use nde_pipeline::{Delta, PipelineSession, Plan};
+use nde_pipeline::{Delta, DeltaPath, PipelineSession, Plan};
 use nde_robust::chaos::{CheckpointKillSwitch, CHAOS_PANIC_PREFIX};
 use nde_robust::{
     supervise, FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx,
@@ -128,6 +129,167 @@ fn fix_sequences_match_full_reexecution_at_every_thread_count() {
         assert!(stats.splices >= 1, "{stats:?}");
         assert!(stats.reruns >= 1, "{stats:?}");
     }
+}
+
+/// One seeded structural fix against the current sources: a sector flip
+/// (either way across the pipeline's healthcare filter), a join-key update
+/// on `train_df`, or an insert/delete on `train_df` or `social_df`.
+fn structural_fix(rng: &mut StdRng, sources: &PipelineSession, step: usize) -> Delta {
+    let letters = sources.input("train_df").unwrap();
+    let jobs = sources.input("jobdetail_df").unwrap();
+    let social = sources.input("social_df").unwrap();
+    match step % 6 {
+        0 => {
+            let row = rng.gen_range(0..jobs.n_rows());
+            let sector = match jobs.get(row, "sector").unwrap() {
+                Value::Str(s) if s == "healthcare" => "tech",
+                _ => "healthcare",
+            };
+            Delta::Update {
+                source: "jobdetail_df".into(),
+                row,
+                column: "sector".into(),
+                value: Value::Str(sector.into()),
+            }
+        }
+        1 => {
+            // Mostly an existing job; sometimes one no job matches.
+            let value = if rng.gen_bool(0.8) {
+                jobs.get(rng.gen_range(0..jobs.n_rows()), "job_id").unwrap()
+            } else {
+                Value::Int(rng.gen_range(10_000..20_000i64))
+            };
+            Delta::Update {
+                source: "train_df".into(),
+                row: rng.gen_range(0..letters.n_rows()),
+                column: "job_id".into(),
+                value,
+            }
+        }
+        2 => Delta::Delete {
+            source: "train_df".into(),
+            row: rng.gen_range(0..letters.n_rows()),
+        },
+        3 => Delta::Insert {
+            source: "train_df".into(),
+            values: letters.row(rng.gen_range(0..letters.n_rows())).unwrap(),
+        },
+        4 => Delta::Delete {
+            source: "social_df".into(),
+            row: rng.gen_range(0..social.n_rows()),
+        },
+        _ => {
+            let person = letters
+                .get(rng.gen_range(0..letters.n_rows()), "person_id")
+                .unwrap();
+            let handle = if rng.gen_bool(0.5) {
+                Value::Str(format!("@fix{step}"))
+            } else {
+                Value::Null
+            };
+            Delta::Insert {
+                source: "social_df".into(),
+                values: vec![person, handle, Value::Int(rng.gen_range(0..500i64))],
+            }
+        }
+    }
+}
+
+/// A seeded stream of structural fixes (reruns and splices) through an
+/// [`IncrementalDebugSession`] and through pipeline sessions at 2, 4 and 7
+/// threads. After every fix, each thread count's table and lineage equal a
+/// fresh provenance-tracked run at that thread count, and the session's
+/// dataset and accuracy equal a re-encode of that run with the fitted
+/// encoders — bit for bit. No rerun re-encodes the whole table.
+#[test]
+fn structural_fix_stream_matches_fresh_runs_and_reencodes_only_moved_rows() {
+    const FIXES: usize = 48;
+    let s = HiringScenario::generate(150, 61);
+    let knn = KnnClassifier::new(3);
+    let valid = {
+        let vs = HiringScenario::generate(50, 62);
+        let mut fp = FeaturePipeline::hiring(8);
+        fp.fit_run(&hiring_inputs(&vs), false).unwrap().dataset
+    };
+    let mut truth_fp = FeaturePipeline::hiring(8);
+    truth_fp.fit_run(&hiring_inputs(&s), false).unwrap();
+    let (plan, root) = (truth_fp.plan.clone(), truth_fp.root);
+    let mut session = IncrementalDebugSession::build(
+        knn.clone(),
+        FeaturePipeline::hiring(8),
+        &hiring_inputs(&s),
+        valid.clone(),
+    )
+    .unwrap();
+    let mut threaded: Vec<(usize, PipelineSession)> = [2usize, 4, 7]
+        .into_iter()
+        .map(|t| {
+            let executor = Executor::new().with_threads(t);
+            let ps = PipelineSession::build(&executor, &plan, root, &hiring_inputs(&s)).unwrap();
+            (t, ps)
+        })
+        .collect();
+    let mut rng = seeded(0x5eed_f1c5);
+    let (mut reruns, mut splices) = (0, 0);
+    for step in 0..FIXES {
+        let delta = structural_fix(&mut rng, session.session(), step);
+        let report = session.apply_fix(&delta).unwrap();
+        match report.path {
+            DeltaPath::Rerun => {
+                reruns += 1;
+                assert!(
+                    report.affected_rows.len() < session.table().n_rows(),
+                    "step {step}: rerun re-encoded {} of {} rows",
+                    report.affected_rows.len(),
+                    session.table().n_rows()
+                );
+            }
+            DeltaPath::Splice => splices += 1,
+            DeltaPath::CellPatch => {}
+        }
+        assert!(!report.reencoded_all, "step {step}: {delta:?}");
+        for (_, ps) in &mut threaded {
+            assert_eq!(ps.apply(&delta).unwrap().path, report.path, "step {step}");
+        }
+        let views =
+            std::iter::once((1, session.session())).chain(threaded.iter().map(|(t, ps)| (*t, ps)));
+        for (threads, ps) in views {
+            let mutated: Vec<(&str, &Table)> = ps
+                .source_names()
+                .iter()
+                .map(|n| (n.as_str(), ps.input(n).unwrap()))
+                .collect();
+            let fresh = Executor::new()
+                .with_threads(threads)
+                .with_provenance(true)
+                .run(&plan, root, &mutated)
+                .unwrap();
+            let at = format!("threads={threads} step={step} {delta:?}");
+            assert_eq!(ps.table(), &fresh.table, "{at}: table");
+            assert_eq!(Some(ps.lineage()), fresh.provenance, "{at}: lineage");
+            let rows: Vec<usize> = (0..fresh.table.n_rows()).collect();
+            let (x, y) = truth_fp.encode_rows(&fresh.table, &rows).unwrap();
+            let ds = session.dataset();
+            assert_eq!(ds.y, y, "{at}: labels");
+            for r in rows {
+                for (a, b) in ds.x.row(r).iter().zip(x.row(r)) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{at}: row {r}");
+                }
+            }
+            let mut model = knn.clone();
+            model
+                .fit(&Dataset::new(x, y, ds.n_classes).unwrap())
+                .unwrap();
+            let want = model.accuracy(&valid);
+            assert_eq!(report.accuracy.to_bits(), want.to_bits(), "{at}: accuracy");
+        }
+    }
+    assert!(
+        reruns >= 12 && splices >= 24,
+        "reruns {reruns}, splices {splices}"
+    );
+    let (fixes, full, _) = session.stats();
+    assert_eq!((fixes, full), (FIXES, 0));
 }
 
 fn blob_workload() -> (Dataset, Dataset, LabelOracle) {
