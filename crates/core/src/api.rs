@@ -188,24 +188,24 @@ pub fn encode_symbolic(
         columns.push(values);
     }
 
+    // Domain interval of a missing cell: the observed min..max of its
+    // column, folded once.
+    let observed = || columns[feature_col].iter().flatten();
+    let lo = observed().fold(f64::INFINITY, |a, &b| a.min(b));
+    let hi = observed().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+
     let n = train.n_rows();
-    let missing_set: std::collections::HashSet<usize> = report.affected.iter().copied().collect();
+    let mut missing = vec![false; n];
+    for &r in &report.affected {
+        missing[r] = true;
+    }
     let mut rows = Vec::with_capacity(n);
-    for r in 0..n {
+    for (r, &is_missing) in missing.iter().enumerate() {
         let mut row = Vec::with_capacity(SYMBOLIC_FEATURES.len());
         for (c, values) in columns.iter().enumerate() {
             let (mean, sd) = stats[c];
             let z = |raw: f64| if sd > 1e-12 { (raw - mean) / sd } else { 0.0 };
-            let cell = if c == feature_col && missing_set.contains(&r) {
-                // Domain interval: the observed min..max of the column.
-                let lo = columns[c]
-                    .iter()
-                    .flatten()
-                    .fold(f64::INFINITY, |a, &b| a.min(b));
-                let hi = columns[c]
-                    .iter()
-                    .flatten()
-                    .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+            let cell = if c == feature_col && is_missing {
                 Interval::new(z(lo), z(hi))
             } else {
                 Interval::point(z(values[r].unwrap_or(mean)))
@@ -352,6 +352,167 @@ mod tests {
         let frac = encode_symbolic(&s.train, "employer_rating", 0.2, Missingness::Mcar, 1).unwrap();
         let pct = encode_symbolic(&s.train, "employer_rating", 20.0, Missingness::Mcar, 1).unwrap();
         assert_eq!(frac.missing_rows, pct.missing_rows);
+    }
+
+    /// The per-row fold `encode_symbolic` used before it hoisted the
+    /// domain: every missing cell re-folds its whole column for min and
+    /// max. Kept as the differential reference.
+    fn encode_symbolic_reference(
+        train: &Table,
+        uncertain_feature: &str,
+        missing_percentage: f64,
+        mechanism: Missingness,
+        seed: u64,
+    ) -> Result<SymbolicEncoding> {
+        let feature_col = SYMBOLIC_FEATURES
+            .iter()
+            .position(|f| *f == uncertain_feature)
+            .expect("a symbolic feature");
+        let mut scratch = train.clone();
+        let report = nde_data::inject::inject_missing(
+            &mut scratch,
+            uncertain_feature,
+            missing_percentage / if missing_percentage > 1.0 { 100.0 } else { 1.0 },
+            mechanism,
+            seed,
+        )?;
+        let mut stats = Vec::new();
+        let mut columns = Vec::new();
+        for col_name in SYMBOLIC_FEATURES {
+            let values = train.column(col_name)?.to_f64_vec();
+            let present: Vec<f64> = values.iter().filter_map(|v| *v).collect();
+            let mean = present.iter().sum::<f64>() / present.len().max(1) as f64;
+            let var = present.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
+                / present.len().max(1) as f64;
+            stats.push((mean, var.sqrt()));
+            columns.push(values);
+        }
+        let missing_set: std::collections::HashSet<usize> =
+            report.affected.iter().copied().collect();
+        let mut rows = Vec::new();
+        for r in 0..train.n_rows() {
+            let mut row = Vec::new();
+            for (c, values) in columns.iter().enumerate() {
+                let (mean, sd) = stats[c];
+                let z = |raw: f64| if sd > 1e-12 { (raw - mean) / sd } else { 0.0 };
+                let cell = if c == feature_col && missing_set.contains(&r) {
+                    let lo = columns[c]
+                        .iter()
+                        .flatten()
+                        .fold(f64::INFINITY, |a, &b| a.min(b));
+                    let hi = columns[c]
+                        .iter()
+                        .flatten()
+                        .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+                    Interval::new(z(lo), z(hi))
+                } else {
+                    Interval::point(z(values[r].unwrap_or(mean)))
+                };
+                row.push(cell);
+            }
+            rows.push(row);
+        }
+        Ok(SymbolicEncoding {
+            x: SymbolicMatrix::from_rows(rows)?,
+            y: sentiment_targets(train)?,
+            missing_rows: report.affected,
+            feature_stats: stats,
+        })
+    }
+
+    fn assert_encodings_bit_identical(a: &SymbolicEncoding, b: &SymbolicEncoding, at: &str) {
+        assert_eq!((a.x.len(), a.x.cols()), (b.x.len(), b.x.cols()), "{at}");
+        for (r, (ra, rb)) in a.x.iter_rows().zip(b.x.iter_rows()).enumerate() {
+            for (c, (p, q)) in ra.iter().zip(rb).enumerate() {
+                assert_eq!(
+                    (p.lo.to_bits(), p.hi.to_bits()),
+                    (q.lo.to_bits(), q.hi.to_bits()),
+                    "{at}: cell ({r}, {c})"
+                );
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.y), bits(&b.y), "{at}: targets");
+        assert_eq!(a.missing_rows, b.missing_rows, "{at}: missing rows");
+        let stat_bits = |e: &SymbolicEncoding| {
+            e.feature_stats
+                .iter()
+                .map(|(m, s)| (m.to_bits(), s.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stat_bits(a), stat_bits(b), "{at}: feature stats");
+    }
+
+    #[test]
+    fn encode_symbolic_is_bit_identical_to_the_per_row_fold() {
+        let s = load_recommendation_letters(240, 20);
+        // Nulls in both columns exercise mean imputation and the observed
+        // (null-skipping) domain.
+        let mut train = s.train.clone();
+        for (r, col) in [
+            (3, "employer_rating"),
+            (8, "years_experience"),
+            (11, "employer_rating"),
+        ] {
+            train.set(r, col, nde_data::Value::Null).unwrap();
+        }
+        for feature in SYMBOLIC_FEATURES {
+            for pct in [0.0, 5.0, 25.0, 100.0] {
+                for mechanism in [Missingness::Mcar, Missingness::Mnar { skew: 4.0 }] {
+                    let at = format!("{feature} at {pct}% {mechanism:?}");
+                    let got = encode_symbolic(&train, feature, pct, mechanism.clone(), 21).unwrap();
+                    let want =
+                        encode_symbolic_reference(&train, feature, pct, mechanism, 21).unwrap();
+                    assert_encodings_bit_identical(&got, &want, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_symbolic_degenerate_inputs_never_panic() {
+        let s = load_recommendation_letters(60, 22);
+        // An empty table: MCAR has nothing to remove and yields an empty
+        // encoding; MNAR has no values to condition on and is a typed error.
+        let empty = s.train.take(&[]).unwrap();
+        let enc = encode_symbolic(&empty, "employer_rating", 0.25, Missingness::Mcar, 1).unwrap();
+        assert!(enc.x.is_empty() && enc.y.is_empty() && enc.missing_rows.is_empty());
+        let err = encode_symbolic(
+            &empty,
+            "employer_rating",
+            0.25,
+            Missingness::Mnar { skew: 4.0 },
+            1,
+        );
+        assert!(matches!(err, Err(crate::NdeError::Data(_))), "{err:?}");
+
+        // An all-null uncertain column: no observed domain and no spread,
+        // so every cell of that column standardizes to the point 0.
+        let mut nulls = s.train.clone();
+        for r in 0..nulls.n_rows() {
+            nulls
+                .set(r, "years_experience", nde_data::Value::Null)
+                .unwrap();
+        }
+        for pct in [0.0, 25.0, 100.0] {
+            let enc =
+                encode_symbolic(&nulls, "years_experience", pct, Missingness::Mcar, 2).unwrap();
+            assert_eq!(enc.x.len(), nulls.n_rows());
+            assert_eq!(enc.feature_stats[1], (0.0, 0.0));
+            assert!(enc.x.iter_rows().all(|row| row[1] == Interval::point(0.0)));
+            let want =
+                encode_symbolic_reference(&nulls, "years_experience", pct, Missingness::Mcar, 2)
+                    .unwrap();
+            assert_encodings_bit_identical(&enc, &want, &format!("all-null at {pct}%"));
+        }
+        let err = encode_symbolic(
+            &nulls,
+            "years_experience",
+            0.25,
+            Missingness::Mnar { skew: 4.0 },
+            2,
+        );
+        assert!(matches!(err, Err(crate::NdeError::Data(_))), "{err:?}");
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! Each [`DeltaPath`] maps to one kind of downstream work:
 //!
 //! - **Cell patch**: rows stay in place; the patched rows are re-encoded,
-//!   and the evaluator takes their label and feature changes.
+//!   and the evaluator takes their label and feature changes. A fix that
+//!   writes the value its cell already holds (a user accepting a label
+//!   that was right) stops at the pipeline's source: no affected rows, so
+//!   nothing is re-encoded or evicted and the accuracy is read as it is.
 //! - **Splice** (an inserted or deleted source row) and **rerun** (a
 //!   routing change, such as a join-key or filter-column fix): the
 //!   pipeline's monotone row map says where every old output row went.
@@ -31,8 +34,9 @@
 //! No structural fix re-encodes the whole training set: every path
 //! encodes only the rows it changed. A fix that fails after the pipeline
 //! state changed (for example one that removes every training row, or a
-//! row map the evaluator rejects) poisons the session: the dataset no
-//! longer matches the table, so later fixes get [`CleaningError::Poisoned`].
+//! row map the evaluator rejects, or a feature the evaluator refuses as
+//! non-finite) poisons the session: the dataset no longer matches the
+//! table, so later fixes get [`CleaningError::Poisoned`].
 //!
 //! Every layer is differentially guaranteed: after any sequence of fixes
 //! the session's table, dataset and accuracy are bit-identical to
@@ -557,6 +561,45 @@ mod tests {
             .apply_fix(&Delta::Insert {
                 source: "train_df".into(),
                 values: s.letters.row(0).unwrap(),
+            })
+            .unwrap_err();
+        assert!(matches!(err, CleaningError::Poisoned(_)), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_feature_fix_is_a_typed_error_that_poisons_the_session() {
+        let s = HiringScenario::generate(60, 47);
+        let mut session = IncrementalDebugSession::build(
+            KnnClassifier::new(3),
+            FeaturePipeline::hiring(8),
+            &inputs(&s),
+            valid_set(48),
+        )
+        .unwrap();
+        // A letter that reaches the model: its encoded features turn NaN.
+        let pid = session.table().get(0, "person_id").unwrap();
+        let row = (0..s.letters.n_rows())
+            .find(|&r| s.letters.get(r, "person_id").unwrap() == pid)
+            .unwrap();
+        let nan = Delta::Update {
+            source: "train_df".into(),
+            row,
+            column: "years_experience".into(),
+            value: Value::Float(f64::NAN),
+        };
+        let err = session.apply_fix(&nan).unwrap_err();
+        assert!(
+            matches!(&err, CleaningError::Ml(msg) if msg.contains("non-finite")),
+            "{err}"
+        );
+        // The pipeline committed the NaN, so the dataset no longer matches
+        // the table: every later fix is refused.
+        let err = session
+            .apply_fix(&Delta::Update {
+                source: "train_df".into(),
+                row,
+                column: "years_experience".into(),
+                value: Value::Float(3.0),
             })
             .unwrap_err();
         assert!(matches!(err, CleaningError::Poisoned(_)), "{err}");

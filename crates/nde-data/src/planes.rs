@@ -286,11 +286,16 @@ impl StrPlane {
         }
     }
 
-    /// Overwrite `row` (null padding is normalized to code `0`).
+    /// Overwrite `row` (null padding is normalized to code `0`). Only a
+    /// string new to the dictionary writes to it, so writing a known string
+    /// never copies a dictionary shared with other planes.
     pub fn set(&mut self, row: usize, v: Option<&str>) {
         match v {
             Some(s) => {
-                let code = Arc::make_mut(&mut self.dict).intern(s);
+                let code = match self.dict.code_of(s) {
+                    Some(code) => code,
+                    None => Arc::make_mut(&mut self.dict).intern(s),
+                };
                 self.codes[row] = code;
                 self.nulls.set(row, false);
             }
@@ -475,6 +480,24 @@ mod tests {
         assert!(Arc::ptr_eq(&p.dict, &t.dict));
         assert_eq!(t.get(0), Some("b"));
         assert_eq!(t.get(1), None);
+    }
+
+    #[test]
+    fn str_plane_set_copies_a_shared_dict_only_for_a_new_string() {
+        let mut p = StrPlane::new();
+        p.push("a");
+        p.push("b");
+        let mut t = p.take(&[0, 1]);
+        t.set(0, Some("b"));
+        assert!(Arc::ptr_eq(&p.dict, &t.dict), "known string: dict shared");
+        assert_eq!(t.get(0), Some("b"));
+        t.set(1, Some("c"));
+        assert!(!Arc::ptr_eq(&p.dict, &t.dict), "new string: dict copied");
+        assert_eq!((t.get(0), t.get(1)), (Some("b"), Some("c")));
+        assert_eq!(
+            (p.get(0), p.get(1), p.dict().len()),
+            (Some("a"), Some("b"), 2)
+        );
     }
 
     #[test]

@@ -91,7 +91,9 @@ impl DistanceTable {
     /// The patched table is **bit-identical** to a fresh
     /// [`DistanceTable::new(train, valid)`](DistanceTable::new): every
     /// refreshed cell is produced by the same [`squared_distance`] call,
-    /// and untouched cells are untouched floats.
+    /// and untouched cells are untouched floats. A changed row holding a
+    /// NaN or infinite feature is [`MlError::NonFiniteFeature`] and leaves
+    /// the table untouched.
     pub fn update_rows(
         &mut self,
         changed: &[usize],
@@ -113,6 +115,9 @@ impl DistanceTable {
                 self.n_train
             )));
         }
+        if let Some((row, col)) = train.first_non_finite_in(changed.iter().copied()) {
+            return Err(MlError::NonFiniteFeature { row, col });
+        }
         for (v, vx) in valid.x.iter_rows().enumerate() {
             let row = &mut self.dists[v * self.n_train..(v + 1) * self.n_train];
             for &i in changed {
@@ -131,7 +136,9 @@ impl DistanceTable {
     /// The map must have one entry per old row, stay below `train.len()`
     /// and be strictly increasing over its surviving entries (a splice
     /// keeps old row order); anything else is
-    /// [`MlError::InvalidArgument`] and leaves the table untouched. A
+    /// [`MlError::InvalidArgument`] and leaves the table untouched, as does
+    /// an inserted row holding a non-finite feature
+    /// ([`MlError::NonFiniteFeature`]). A
     /// surviving row must keep its features, so the spliced table is
     /// **bit-identical** to a fresh [`DistanceTable::new(train, valid)`](DistanceTable::new).
     pub fn splice(
@@ -149,6 +156,10 @@ impl DistanceTable {
         }
         let n_new = train.len();
         let old_of = invert_row_map(row_map, self.n_train, n_new)?;
+        let inserted = (0..n_new).filter(|&j| old_of[j].is_none());
+        if let Some((row, col)) = train.first_non_finite_in(inserted) {
+            return Err(MlError::NonFiniteFeature { row, col });
+        }
         let mut dists = vec![0.0; n_new * self.n_valid];
         for (v, vx) in valid.x.iter_rows().enumerate() {
             let old = self.row(v);
@@ -385,11 +396,20 @@ pub struct IncrementalKnnEval {
 
 impl IncrementalKnnEval {
     /// Prepare the evaluator (computes the distance table and all neighbor
-    /// lists once). Rejects an empty training set, matching
-    /// [`crate::model::Classifier::fit`] for KNN.
+    /// lists once). Rejects an empty training set or a non-finite training
+    /// feature, matching [`crate::model::Classifier::fit`] for KNN, and a
+    /// non-finite validation feature.
     pub fn new(k: usize, train: &Dataset, valid: &Dataset) -> Result<IncrementalKnnEval> {
         if train.is_empty() {
             return Err(MlError::EmptyTrainingSet);
+        }
+        if let Some((row, col)) = train.first_non_finite() {
+            return Err(MlError::NonFiniteFeature { row, col });
+        }
+        if let Some((row, col)) = valid.first_non_finite() {
+            return Err(MlError::InvalidArgument(format!(
+                "validation data holds a non-finite feature at row {row}, column {col}"
+            )));
         }
         let table = DistanceTable::new(train, valid);
         let k = k.max(1);
@@ -931,6 +951,41 @@ mod tests {
         let map = [Some(0), None, Some(1), Some(2), Some(3), Some(4)];
         eval.splice(&map, &fewer).unwrap();
         assert_matches_fresh_fit(&eval, &fewer, &valid);
+    }
+
+    #[test]
+    fn non_finite_features_are_refused_and_leave_the_evaluator_untouched() {
+        let (train, valid) = workload(8, 4, 9);
+        let mut bad = train.clone();
+        bad.x.row_mut(5)[2] = f64::NAN;
+        assert_eq!(
+            IncrementalKnnEval::new(3, &bad, &valid).unwrap_err(),
+            MlError::NonFiniteFeature { row: 5, col: 2 }
+        );
+        assert!(matches!(
+            IncrementalKnnEval::new(3, &valid, &bad),
+            Err(MlError::InvalidArgument(_))
+        ));
+
+        let mut eval = IncrementalKnnEval::new(3, &train, &valid).unwrap();
+        let err = eval.update_features(&[5], &bad).unwrap_err();
+        assert_eq!(err, MlError::NonFiniteFeature { row: 5, col: 2 });
+        assert_matches_fresh_fit(&eval, &train, &valid);
+
+        // An inserted row with an infinite feature; surviving rows are not
+        // re-checked (the evaluator already holds them).
+        let mut grown = train.subset(&[0, 1, 2, 3, 3, 4, 5, 6, 7]);
+        grown.x.row_mut(4)[0] = f64::INFINITY;
+        let map: Vec<Option<usize>> = (0..8).map(|i| Some(i + usize::from(i >= 4))).collect();
+        let err = eval.splice(&map, &grown).unwrap_err();
+        assert_eq!(err, MlError::NonFiniteFeature { row: 4, col: 0 });
+        assert_matches_fresh_fit(&eval, &train, &valid);
+
+        // A finite fix still goes through afterwards.
+        let mut moved = train.clone();
+        moved.x.row_mut(5)[2] += 1.5;
+        eval.update_features(&[5], &moved).unwrap();
+        assert_matches_fresh_fit(&eval, &moved, &valid);
     }
 
     #[test]

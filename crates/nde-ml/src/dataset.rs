@@ -73,12 +73,23 @@ impl Dataset {
     /// row-major order — `None` when every cell is finite. Long-running
     /// estimators validate with this before spending their budget.
     pub fn first_non_finite(&self) -> Option<(usize, usize)> {
-        for (row, values) in self.x.iter_rows().enumerate() {
-            if let Some(col) = values.iter().position(|v| !v.is_finite()) {
-                return Some((row, col));
-            }
-        }
-        None
+        self.first_non_finite_in(0..self.len())
+    }
+
+    /// [`Dataset::first_non_finite`] over `rows` only, in the order given:
+    /// an incremental update checks the rows it changes, not the whole set.
+    ///
+    /// # Panics
+    ///
+    /// If a row is out of bounds.
+    pub fn first_non_finite_in(
+        &self,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Option<(usize, usize)> {
+        rows.into_iter().find_map(|row| {
+            let col = self.x.row(row).iter().position(|v| !v.is_finite())?;
+            Some((row, col))
+        })
     }
 
     /// New dataset with one example removed (for leave-one-out).

@@ -10,7 +10,8 @@ use crate::model::Classifier;
 use crate::{MlError, Result};
 
 /// A K-nearest-neighbors classifier with Euclidean distance and majority
-/// voting (ties broken toward the smaller class id).
+/// voting (ties broken toward the smaller class id). `fit` refuses a NaN or
+/// infinite feature with [`MlError::NonFiniteFeature`].
 #[derive(Debug, Clone)]
 pub struct KnnClassifier {
     k: usize,
@@ -95,6 +96,10 @@ impl Classifier for KnnClassifier {
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
+        }
+        // A non-finite feature has no place in the neighbour order.
+        if let Some((row, col)) = data.first_non_finite() {
+            return Err(MlError::NonFiniteFeature { row, col });
         }
         self.train = Some(data.clone());
         Ok(())
@@ -201,6 +206,25 @@ mod tests {
         knn.fit(&toy()).unwrap();
         // All 4 points vote: tie 2-2 broken toward class 0.
         assert_eq!(knn.predict_one(&[5.0, 5.0]), 0);
+    }
+
+    #[test]
+    fn fit_refuses_a_non_finite_feature_so_accuracy_never_panics() {
+        let valid = toy();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut train = toy();
+            train.x.row_mut(2)[1] = bad;
+            let mut knn = KnnClassifier::new(3);
+            assert_eq!(
+                knn.fit(&train),
+                Err(MlError::NonFiniteFeature { row: 2, col: 1 })
+            );
+            assert!(!knn.is_fitted());
+            // A refused fit leaves the model as it was: refit on clean data
+            // and evaluate.
+            knn.fit(&valid).unwrap();
+            assert_eq!(knn.accuracy(&valid), 1.0);
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! - **Cell patch** ([`DeltaPath::CellPatch`]): an [`Delta::Update`] that
 //!   cannot change any routing decision (join keys, filter predicates,
 //!   distinct keys untouched) patches the changed cells of affected rows in
-//!   place. Routing is identical by construction.
+//!   place: each node table on the row's path is written where it lives,
+//!   nothing is copied. Routing is identical by construction.
 //! - **Splice** ([`DeltaPath::Splice`]): an [`Delta::Insert`] or
 //!   [`Delta::Delete`] re-decides routing only where the changed tuple can
 //!   reach, carrying a per-node row map (old row → new row).
@@ -23,6 +24,21 @@
 //!   and new routing traces are diffed bottom-up into the same monotone row
 //!   maps a splice builds, starting from the source delta (an update
 //!   replaces its row, so that row maps to nothing and is re-inserted).
+//!
+//! An update that stores the value the cell already holds is *unchanged*:
+//! it passes every check a real write does (bounds, column, type, with an
+//! `Int` coerced into a `Float` column), then stops at the source. Values
+//! compare bit for bit, so `-0.0` over `0.0` or a NaN with another payload
+//! is still a change. An unchanged write reports a cell patch with no
+//! affected rows and counts in [`DeltaStats::unchanged`].
+//!
+//! A cell-patch walk may bail out after it has written some node tables:
+//! a tainted column meets a routing decision further down, or an operator
+//! fails on the new value. Every bail-out ends in the rerun fallback,
+//! which replaces every node table from the (already mutated) inputs, so
+//! no half-patched table outlives the apply. The rerun diff reads only the
+//! old tables' row counts, which a cell patch never changes. A rerun that
+//! fails poisons the session, as it would after any other path.
 //!
 //! The session holds no provenance. Routing traces determine it: a fresh
 //! provenance-tracked run interns arena nodes in the recorded evaluation
@@ -113,8 +129,13 @@ pub enum DeltaPath {
 pub struct DeltaStats {
     /// Deltas applied successfully.
     pub applied: usize,
-    /// Applies that took [`DeltaPath::CellPatch`].
+    /// Applies that took [`DeltaPath::CellPatch`], unchanged writes
+    /// included.
     pub cell_patches: usize,
+    /// Updates that stored the value the cell already held (bit for bit):
+    /// validated, then stopped at the source without walking the DAG.
+    /// Counted in `applied` and `cell_patches` too.
+    pub unchanged: usize,
     /// Applies that took [`DeltaPath::Splice`].
     pub splices: usize,
     /// Applies that fell back to [`DeltaPath::Rerun`].
@@ -256,17 +277,20 @@ struct PatchState {
     tainted: Vec<String>,
 }
 
-/// Everything a successful cell-patch walk produced, staged for commit.
-struct CellPatchPlan {
-    new_tables: FxHashMap<usize, Table>,
-    root_affected: Vec<usize>,
-}
-
 /// Everything a successful splice walk produced, staged for commit.
 struct SplicePlan {
     new_tables: FxHashMap<usize, Table>,
     new_traces: FxHashMap<usize, NodeTrace>,
     root_delta: NodeDelta,
+}
+
+/// `a` and `b` are the same cell value bit for bit: floats compare by
+/// `to_bits`, so `-0.0` and `0.0` differ, as do NaNs with other payloads.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
 }
 
 /// Run `f` under the executor's panic guard, mapping a panic to a typed
@@ -455,13 +479,22 @@ impl PipelineSession {
                         delta.source(),
                     )));
                 }
-                // `set` validates column and type before mutating.
-                self.inputs[src].set(*row, column, value.clone())?;
+                // `set` validates column and type before mutating; the cell
+                // read back is the value as stored (an `Int` written into a
+                // `Float` column is coerced).
+                let input = &mut self.inputs[src];
+                let old = input.get(*row, column)?;
+                input.set(*row, column, value.clone())?;
+                if same_bits(&old, &input.get(*row, column)?) {
+                    self.stats.unchanged += 1;
+                    return Ok(self.commit_cell_patch(Vec::new()));
+                }
                 // A structural change or an operator failure on the new
                 // value falls through to a full rerun, which reproduces
-                // rerun semantics (including the error report) exactly.
-                if let Ok(Some(plan)) = self.cell_patch_walk(src, *row, column) {
-                    return Ok(self.commit_cell_patch(plan));
+                // rerun semantics (including the error report) exactly and
+                // replaces any node table the walk already patched.
+                if let Ok(Some(root_affected)) = self.cell_patch_walk(src, *row, column) {
+                    return Ok(self.commit_cell_patch(root_affected));
                 }
                 return self.rerun_fallback(src, &NodeDelta::replaced(old_len, *row));
             }
@@ -593,16 +626,13 @@ impl PipelineSession {
         deltas.remove(&self.root.index()).expect("root visited")
     }
 
-    fn commit_cell_patch(&mut self, plan: CellPatchPlan) -> DeltaOutcome {
-        for (idx, t) in plan.new_tables {
-            self.tables.insert(idx, t);
-        }
+    fn commit_cell_patch(&mut self, root_affected: Vec<usize>) -> DeltaOutcome {
         self.stats.applied += 1;
         self.stats.cell_patches += 1;
-        self.stats.rows_patched += plan.root_affected.len();
+        self.stats.rows_patched += root_affected.len();
         DeltaOutcome {
             path: DeltaPath::CellPatch,
-            affected_rows: plan.root_affected,
+            affected_rows: root_affected,
             row_map: None,
         }
     }
@@ -687,23 +717,26 @@ impl PipelineSession {
     }
 
     /// The cell-patch walk: propagate `(source, row, column)` taint through
-    /// the DAG without re-deciding any routing. `Ok(None)` means a tainted
-    /// column feeds a routing decision (join/distinct key, filter
-    /// predicate) — the caller falls back to a rerun. `Err` means an
-    /// operator failed re-evaluating a tainted projection (rerun reproduces
-    /// the report).
+    /// the DAG without re-deciding any routing, writing each affected
+    /// node's table in place (children come first, so every read sees
+    /// already patched child tables). Returns the root's affected rows.
+    /// `Ok(None)` means a tainted column feeds a routing decision
+    /// (join/distinct key, filter predicate); `Err` means an operator failed
+    /// re-evaluating a tainted projection. Either way tables may be
+    /// half-patched, and the caller must fall back to a rerun, which
+    /// replaces them all (and reproduces the error report).
     fn cell_patch_walk(
-        &self,
+        &mut self,
         src: usize,
         row: usize,
         column: &str,
-    ) -> Result<Option<CellPatchPlan>> {
+    ) -> Result<Option<Vec<usize>>> {
         let mut states: FxHashMap<usize, PatchState> = FxHashMap::default();
-        let mut new_tables: FxHashMap<usize, Table> = FxHashMap::default();
         for &idx in &self.order {
             let id = NodeId(idx);
             let trace = self.traces.get(&idx).expect("trace present");
             let children = self.plan.children(id)?;
+            let table = |i: usize| self.tables.get(&children[i].index()).expect("child table");
             // Read phase: compute this node's state and the cell values to
             // copy from (already patched) child tables.
             let mut state = PatchState::default();
@@ -713,7 +746,7 @@ impl PipelineSession {
                     if *source as usize == src {
                         state.affected.push(row);
                         state.tainted.push(column.to_string());
-                        // Write phase below swaps in the mutated input.
+                        patches.push((row, column.to_string(), self.inputs[src].get(row, column)?));
                     }
                 }
                 (
@@ -744,16 +777,21 @@ impl PipelineSession {
                     {
                         return Ok(None);
                     }
-                    let lt = table_of(&new_tables, &self.tables, children[0].index());
-                    let rt = table_of(&new_tables, &self.tables, children[1].index());
-                    // Normalize both join kinds to (left, Option<right>).
-                    let pairs: Vec<(usize, Option<usize>)> = match trace {
-                        NodeTrace::Join { pairs } => pairs.clone(),
-                        NodeTrace::FuzzyJoin { pairs } => {
-                            pairs.iter().map(|&(l, r)| (l, Some(r))).collect()
-                        }
-                        _ => unreachable!("matched join traces above"),
+                    let (lt, rt) = (table(0), table(1));
+                    // Read both join kinds as (left, Option<right>); one of
+                    // the two slices is empty.
+                    let join: &[(usize, Option<usize>)] = match trace {
+                        NodeTrace::Join { pairs } => pairs,
+                        _ => &[],
                     };
+                    let fuzzy: &[(usize, usize)] = match trace {
+                        NodeTrace::FuzzyJoin { pairs } => pairs,
+                        _ => &[],
+                    };
+                    let pairs = join
+                        .iter()
+                        .copied()
+                        .chain(fuzzy.iter().map(|&(l, r)| (l, Some(r))));
                     let l_aff = affected_mask(ls, lt.n_rows());
                     let r_aff = affected_mask(rs, rt.n_rows());
                     let renames: Vec<(String, String)> = rs
@@ -764,7 +802,7 @@ impl PipelineSession {
                                 .collect()
                         })
                         .unwrap_or_default();
-                    for (out, &(l, r)) in pairs.iter().enumerate() {
+                    for (out, (l, r)) in pairs.enumerate() {
                         let left_hit = l_aff[l];
                         let right_hit = r.is_some_and(|r| r_aff[r]);
                         if !left_hit && !right_hit {
@@ -802,7 +840,7 @@ impl PipelineSession {
                     {
                         return Ok(None);
                     }
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
+                    let ct = table(0);
                     let c_aff = affected_mask(Some(cs), ct.n_rows());
                     for (out, &k) in kept.iter().enumerate() {
                         if c_aff[k] {
@@ -818,7 +856,7 @@ impl PipelineSession {
                     let Some(cs) = states.get(&children[0].index()) else {
                         continue;
                     };
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
+                    let ct = table(0);
                     let c_aff = affected_mask(Some(cs), ct.n_rows());
                     let recompute = expr
                         .columns()
@@ -855,7 +893,7 @@ impl PipelineSession {
                         // The change is projected away: nothing downstream.
                         continue;
                     }
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
+                    let ct = table(0);
                     for &r in &cs.affected {
                         state.affected.push(r);
                         for c in &visible {
@@ -871,7 +909,7 @@ impl PipelineSession {
                     if cs.tainted.iter().any(|c| c == key) {
                         return Ok(None);
                     }
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
+                    let ct = table(0);
                     let c_aff = affected_mask(Some(cs), ct.n_rows());
                     // Only changes to a group's surviving first occurrence
                     // are visible; absorbed duplicates contribute nothing.
@@ -891,8 +929,7 @@ impl PipelineSession {
                     if ls.is_none() && rs.is_none() {
                         continue;
                     }
-                    let lt = table_of(&new_tables, &self.tables, children[0].index());
-                    let rt = table_of(&new_tables, &self.tables, children[1].index());
+                    let (lt, rt) = (table(0), table(1));
                     if let Some(ls) = ls {
                         for &r in &ls.affected {
                             state.affected.push(r);
@@ -925,29 +962,19 @@ impl PipelineSession {
             if state.affected.is_empty() {
                 continue;
             }
-            // Write phase: patch a copy of this node's table.
-            let mut t = if matches!(trace, NodeTrace::Source { source } if *source as usize == src)
-            {
-                self.inputs[src].clone()
-            } else {
-                let mut t = table_of(&new_tables, &self.tables, idx).clone();
-                for (r, c, v) in patches {
-                    t.set(r, &c, v)?;
-                }
-                t
-            };
-            t.set_name(self.tables.get(&idx).expect("table present").name());
-            new_tables.insert(idx, t);
+            // Write phase: patch this node's table where it lives.
+            let t = self.tables.get_mut(&idx).expect("table present");
+            for (r, c, v) in patches {
+                t.set(r, &c, v)?;
+            }
             states.insert(idx, state);
         }
-        let root_affected = states
-            .remove(&self.root.index())
-            .map(|s| s.affected)
-            .unwrap_or_default();
-        Ok(Some(CellPatchPlan {
-            new_tables,
-            root_affected,
-        }))
+        Ok(Some(
+            states
+                .remove(&self.root.index())
+                .map(|s| s.affected)
+                .unwrap_or_default(),
+        ))
     }
 
     /// The splice walk: push a one-row insert/delete at source `src`
@@ -1736,13 +1763,18 @@ mod tests {
         let (plan, root) = Plan::hiring_pipeline();
         let mut session =
             PipelineSession::build(&Executor::new(), &plan, root, &hiring_inputs(&s)).unwrap();
-        // `sector` feeds the healthcare filter: structural.
+        // `sector` feeds the healthcare filter: structural. (Job 0 is a
+        // healthcare job, so writing "healthcare" would be unchanged.)
+        assert_eq!(
+            s.job_details.get(0, "sector").unwrap(),
+            Value::Str("healthcare".into())
+        );
         let outcome = session
             .apply(&Delta::Update {
                 source: "jobdetail_df".into(),
                 row: 0,
                 column: "sector".into(),
-                value: Value::Str("healthcare".into()),
+                value: Value::Str("tech".into()),
             })
             .unwrap();
         assert_eq!(outcome.path, DeltaPath::Rerun);
@@ -2007,5 +2039,298 @@ mod tests {
         assert_eq!(session.table(), &before);
         assert_eq!(session.stats().applied, 0);
         assert_matches_fresh(&session);
+    }
+
+    /// One seeded fix for the unchanged-write stream, and whether it writes
+    /// the value its cell already holds. Rows come from small pools so
+    /// repeated writes to one cell are common.
+    fn mixed_fix(rng: &mut nde_data::rng::StdRng, session: &PipelineSession) -> (Delta, bool) {
+        use nde_data::rng::Rng;
+        let letters = session.input("train_df").unwrap();
+        let jobs = session.input("jobdetail_df").unwrap();
+        let social = session.input("social_df").unwrap();
+        let update = |source: &str, row: usize, column: &str, value: Value| Delta::Update {
+            source: source.into(),
+            row,
+            column: column.into(),
+            value,
+        };
+        let row = rng.gen_range(0..8usize);
+        match rng.gen_range(0..6u32) {
+            // The label the cell already holds.
+            0 => {
+                let label = letters.get(row, "sentiment").unwrap();
+                (update("train_df", row, "sentiment", label), true)
+            }
+            // An `Int` into a `Float` cell: unchanged when the cell holds
+            // the same integral value, a real write otherwise.
+            1 => match letters.get(row, "years_experience").unwrap() {
+                Value::Float(f) if f.fract() == 0.0 => (
+                    update("train_df", row, "years_experience", Value::Int(f as i64)),
+                    true,
+                ),
+                _ => (
+                    update(
+                        "train_df",
+                        row,
+                        "years_experience",
+                        Value::Int(rng.gen_range(0..30i64)),
+                    ),
+                    false,
+                ),
+            },
+            // Null over Null (a real write when the handle is present).
+            2 => {
+                let null = social.get(row, "twitter").unwrap().is_null();
+                (update("social_df", row, "twitter", Value::Null), null)
+            }
+            // The sector a job already has: a routing column, no rerun.
+            3 => {
+                let row = row % jobs.n_rows();
+                let sector = jobs.get(row, "sector").unwrap();
+                (update("jobdetail_df", row, "sector", sector), true)
+            }
+            // Real fixes: a label flip and a new rating.
+            4 => {
+                let flipped = match letters.get(row, "sentiment").unwrap().as_str() {
+                    Some("positive") => "negative",
+                    _ => "positive",
+                };
+                (
+                    update("train_df", row, "sentiment", Value::Str(flipped.into())),
+                    false,
+                )
+            }
+            _ => {
+                let rating = 0.25 + rng.gen_range(0..40u32) as f64 * 0.25;
+                let same = letters.get(row, "employer_rating").unwrap() == Value::Float(rating);
+                (
+                    update("train_df", row, "employer_rating", Value::Float(rating)),
+                    same,
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn unchanged_writes_stop_at_the_source_and_match_fresh_at_every_thread_count() {
+        let s = HiringScenario::generate(80, 41);
+        let (plan, root) = Plan::hiring_pipeline();
+        let mut baseline: Vec<(Table, Lineage)> = Vec::new();
+        for threads in [1usize, 2, 4, 7] {
+            let executor = Executor::new().with_threads(threads);
+            let mut session =
+                PipelineSession::build(&executor, &plan, root, &hiring_inputs(&s)).unwrap();
+            let mut rng = nde_data::rng::seeded(0x0dd5);
+            let mut unchanged = 0;
+            for step in 0..60 {
+                let (delta, same) = mixed_fix(&mut rng, &session);
+                let before_tables = session.tables.clone();
+                let before = *session.stats();
+                let outcome = session.apply(&delta).unwrap();
+                let at = format!("threads={threads} step={step} {delta:?}");
+                if same {
+                    unchanged += 1;
+                    assert_eq!(
+                        outcome,
+                        DeltaOutcome {
+                            path: DeltaPath::CellPatch,
+                            affected_rows: Vec::new(),
+                            row_map: None,
+                        },
+                        "{at}"
+                    );
+                    assert_eq!(session.tables, before_tables, "{at}: tables moved");
+                    let after = *session.stats();
+                    assert_eq!(after.unchanged, before.unchanged + 1, "{at}");
+                    assert_eq!(after.cell_patches, before.cell_patches + 1, "{at}");
+                    assert_eq!(after.reruns, before.reruns, "{at}");
+                } else {
+                    assert_eq!(session.stats().unchanged, before.unchanged, "{at}");
+                }
+                assert_matches_fresh(&session);
+                if threads == 1 {
+                    baseline.push((session.table().clone(), session.lineage()));
+                } else {
+                    let (t, l) = &baseline[step];
+                    assert_eq!(session.table(), t, "{at}");
+                    assert_eq!(&session.lineage(), l, "{at}");
+                }
+            }
+            let stats = session.stats();
+            assert_eq!(stats.unchanged, unchanged);
+            assert!(
+                unchanged >= 20 && stats.applied - unchanged >= 15,
+                "{stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn floats_compare_by_bits_and_types_are_still_checked() {
+        let s = HiringScenario::generate(60, 43);
+        let (plan, root) = Plan::hiring_pipeline();
+        let mut session =
+            PipelineSession::build(&Executor::new(), &plan, root, &hiring_inputs(&s)).unwrap();
+        // A letter that reaches the output.
+        let pid = session.table().get(0, "person_id").unwrap();
+        let row = (0..s.letters.n_rows())
+            .find(|&r| s.letters.get(r, "person_id").unwrap() == pid)
+            .unwrap();
+        let mut write = |value: Value| {
+            session
+                .apply(&Delta::Update {
+                    source: "train_df".into(),
+                    row,
+                    column: "employer_rating".into(),
+                    value,
+                })
+                .map(|outcome| outcome.affected_rows)
+        };
+        assert_eq!(write(Value::Float(0.0)).unwrap(), vec![0]);
+        assert!(write(Value::Float(0.0)).unwrap().is_empty());
+        // `-0.0 == 0.0`, but it is another value: a change.
+        assert_eq!(write(Value::Float(-0.0)).unwrap(), vec![0]);
+        assert!(write(Value::Float(-0.0)).unwrap().is_empty());
+        // An `Int` coerces to the `Float` it stores.
+        assert_eq!(write(Value::Int(0)).unwrap(), vec![0]);
+        assert!(write(Value::Int(0)).unwrap().is_empty());
+        assert!(write(Value::Float(0.0)).unwrap().is_empty());
+        // NaNs with different payloads are different values.
+        let quiet = f64::NAN;
+        let other = f64::from_bits(quiet.to_bits() | 1);
+        assert_eq!(write(Value::Float(quiet)).unwrap(), vec![0]);
+        assert!(write(Value::Float(quiet)).unwrap().is_empty());
+        assert_eq!(write(Value::Float(other)).unwrap(), vec![0]);
+        // A type mismatch errors, whatever the cell holds.
+        assert!(matches!(
+            write(Value::Str("0".into())),
+            Err(PipelineError::Data(_))
+        ));
+        // The output holds the last payload bit for bit.
+        let cell = session.table().get(0, "employer_rating").unwrap();
+        assert_eq!(cell.as_float().map(f64::to_bits), Some(other.to_bits()));
+        let stats = session.stats();
+        assert_eq!((stats.applied, stats.unchanged, stats.reruns), (10, 5, 0));
+    }
+
+    #[test]
+    fn a_cell_patch_that_meets_a_routing_column_downstream_ends_as_a_fresh_run() {
+        // The rating flows through a join and a projection (both patched in
+        // place) before a filter reads the projected column: the walk bails
+        // out there and the rerun must replace every table it patched.
+        let s = HiringScenario::generate(80, 45);
+        let mut plan = Plan::new();
+        let letters = plan.source("train_df");
+        let jobs = plan.source("jobdetail_df");
+        let joined = plan.join(letters, jobs, "job_id", "job_id", JoinType::Inner);
+        let boosted = plan.project(
+            joined,
+            "boosted",
+            Expr::udf("boost", DataType::Float, &["employer_rating"], |t, row| {
+                let v = t.get(row, "employer_rating")?;
+                Ok(v.as_float().map_or(Value::Null, |f| Value::Float(f + 1.0)))
+            }),
+        );
+        let root = plan.filter(boosted, Expr::col("boosted").gt(Expr::float(5.0)));
+        let inputs = &hiring_inputs(&s)[..2];
+        let mut session = PipelineSession::build(&Executor::new(), &plan, root, inputs).unwrap();
+        let before = session.table().n_rows();
+        // Push every kept row's letter below the bar, one fix at a time.
+        let mut reruns = 0;
+        for row in 0..s.letters.n_rows() {
+            let rating = s.letters.get(row, "employer_rating").unwrap();
+            if rating.as_float().is_none_or(|f| f + 1.0 <= 5.0) {
+                continue;
+            }
+            let outcome = session
+                .apply(&Delta::Update {
+                    source: "train_df".into(),
+                    row,
+                    column: "employer_rating".into(),
+                    value: Value::Float(1.0),
+                })
+                .unwrap();
+            reruns += usize::from(outcome.path == DeltaPath::Rerun);
+            assert_matches_fresh(&session);
+            if reruns == 6 {
+                break;
+            }
+        }
+        assert_eq!(reruns, 6);
+        assert!(session.table().n_rows() < before);
+    }
+
+    #[test]
+    fn a_projection_failing_on_the_new_value_reports_the_rerun_error_and_poisons() {
+        let s = HiringScenario::generate(40, 47);
+        for panics in [false, true] {
+            let mut plan = Plan::new();
+            let letters = plan.source("train_df");
+            let doubled = plan.project(
+                letters,
+                "doubled",
+                Expr::udf("double", DataType::Float, &["employer_rating"], |t, row| {
+                    let v = t.get(row, "employer_rating")?;
+                    Ok(v.as_float().map_or(Value::Null, |f| Value::Float(2.0 * f)))
+                }),
+            );
+            let root = plan.project(
+                doubled,
+                "checked",
+                Expr::udf(
+                    "check",
+                    DataType::Float,
+                    &["doubled"],
+                    move |t, row| match t.get(row, "doubled")? {
+                        Value::Float(f) if f < 0.0 && panics => panic!("negative rating"),
+                        Value::Float(f) if f < 0.0 => {
+                            Err(PipelineError::Expr("negative rating".into()))
+                        }
+                        v => Ok(v),
+                    },
+                ),
+            );
+            let inputs = &hiring_inputs(&s)[..1];
+            let mut session =
+                PipelineSession::build(&Executor::new(), &plan, root, inputs).unwrap();
+            let bad = Delta::Update {
+                source: "train_df".into(),
+                row: 3,
+                column: "employer_rating".into(),
+                value: Value::Float(-1.0),
+            };
+            let err = session.apply(&bad).unwrap_err();
+            // The error a fresh run over the mutated input reports.
+            let mut mutated = s.letters.clone();
+            mutated
+                .set(3, "employer_rating", Value::Float(-1.0))
+                .unwrap();
+            let want = Executor::new()
+                .run(&plan, root, &[("train_df", &mutated)])
+                .unwrap_err();
+            assert_eq!(err, want, "panics={panics}");
+            assert_eq!(
+                matches!(err, PipelineError::OperatorPanic { .. }),
+                panics,
+                "{err:?}"
+            );
+            assert_eq!(session.stats().applied, 0);
+            // Poisoned: even a valid (or unchanged) fix is refused.
+            for value in [Value::Float(2.0), Value::Float(-1.0)] {
+                let err = session
+                    .apply(&Delta::Update {
+                        source: "train_df".into(),
+                        row: 3,
+                        column: "employer_rating".into(),
+                        value,
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, PipelineError::Delta(m) if m.contains("poisoned")),
+                    "{err:?}"
+                );
+            }
+        }
     }
 }

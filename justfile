@@ -96,7 +96,10 @@ example-resume:
 # library API change can break it without the workspace build noticing.
 # Runs its unit tests and one short run of each workload, whose last
 # stdout line must report correct outputs and no failed operations, then
-# a short traced fix-stream run that must report no full re-encode.
+# a short traced fix-stream run that must report no full re-encode and a
+# short traced hiring-session run that must re-encode only the 106 rows
+# whose label a review fix really changes (unchanged writes stop at the
+# pipeline's source).
 perfbench-smoke:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
     for w in fix-stream hiring-session; do \
@@ -108,6 +111,10 @@ perfbench-smoke:
     grep -q '"correct": true' /tmp/nde_perfbench_fix_traced.txt
     grep -q '"failed": 0' /tmp/nde_perfbench_fix_traced.txt
     grep -q '"cleaning.full_reencodes": {"value": 0.0' /tmp/nde_perfbench_fix_traced.txt
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload hiring-session --seconds 1 --trace 1 2>/dev/null | tail -n 1 > /tmp/nde_perfbench_hiring_traced.txt
+    grep -q '"correct": true' /tmp/nde_perfbench_hiring_traced.txt
+    grep -q '"failed": 0' /tmp/nde_perfbench_hiring_traced.txt
+    grep -q '"cleaning.rows_reencoded": {"value": 106.0' /tmp/nde_perfbench_hiring_traced.txt
 
 # Format and lint.
 lint:

@@ -13,6 +13,7 @@ use nde_data::generate::blobs::two_gaussians;
 use nde_data::generate::hiring::HiringScenario;
 use nde_data::rng::{seeded, Rng, StdRng};
 use nde_data::{Table, Value};
+use nde_importance::coalition_utility;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
@@ -290,6 +291,195 @@ fn structural_fix_stream_matches_fresh_runs_and_reencodes_only_moved_rows() {
     );
     let (fixes, full, _) = session.stats();
     assert_eq!((fixes, full), (FIXES, 0));
+}
+
+/// One seeded fix that may write the value its cell already holds: the
+/// label a letter has, an `Int` into a `Float` cell of equal value, a null
+/// twitter handle over a null one, or a job's own sector. The rest are
+/// real label, rating, handle and sector fixes. Returns whether the fix is
+/// unchanged. Rows come from small pools so repeated writes are common.
+fn maybe_unchanged_fix(rng: &mut StdRng, sources: &PipelineSession) -> (Delta, bool) {
+    let letters = sources.input("train_df").unwrap();
+    let jobs = sources.input("jobdetail_df").unwrap();
+    let social = sources.input("social_df").unwrap();
+    let update = |source: &str, row: usize, column: &str, value: Value| Delta::Update {
+        source: source.into(),
+        row,
+        column: column.into(),
+        value,
+    };
+    let row = rng.gen_range(0..10usize);
+    match rng.gen_range(0..8u32) {
+        0 => {
+            let label = letters.get(row, "sentiment").unwrap();
+            (update("train_df", row, "sentiment", label), true)
+        }
+        1 => match letters.get(row, "years_experience").unwrap() {
+            Value::Float(f) if f.fract() == 0.0 => (
+                update("train_df", row, "years_experience", Value::Int(f as i64)),
+                true,
+            ),
+            _ => {
+                let years = Value::Int(rng.gen_range(0..30i64));
+                (update("train_df", row, "years_experience", years), false)
+            }
+        },
+        2 => {
+            let null = social.get(row, "twitter").unwrap().is_null();
+            (update("social_df", row, "twitter", Value::Null), null)
+        }
+        3 => {
+            let row = row % jobs.n_rows();
+            let sector = jobs.get(row, "sector").unwrap();
+            (update("jobdetail_df", row, "sector", sector), true)
+        }
+        4 => {
+            let flipped = match letters.get(row, "sentiment").unwrap().as_str() {
+                Some("positive") => "negative",
+                _ => "positive",
+            };
+            let label = Value::Str(flipped.into());
+            (update("train_df", row, "sentiment", label), false)
+        }
+        5 => {
+            let rating = 0.5 + f64::from(rng.gen_range(0..18u32)) * 0.5;
+            let same = letters.get(row, "employer_rating").unwrap() == Value::Float(rating);
+            let value = Value::Float(rating);
+            (update("train_df", row, "employer_rating", value), same)
+        }
+        6 => {
+            let handle = Value::Str(format!("@h{}", rng.gen_range(0..3u32)));
+            let same = social.get(row, "twitter").unwrap() == handle;
+            (update("social_df", row, "twitter", handle), same)
+        }
+        _ => {
+            let row = row % jobs.n_rows();
+            let sector = match jobs.get(row, "sector").unwrap().as_str() {
+                Some("healthcare") => "tech",
+                _ => "healthcare",
+            };
+            let value = Value::Str(sector.into());
+            (update("jobdetail_df", row, "sector", value), false)
+        }
+    }
+}
+
+/// A seeded stream mixing unchanged writes with real fixes, through an
+/// [`IncrementalDebugSession`] and pipeline sessions at 2, 4 and 7
+/// threads. After every fix each thread count's table and lineage equal a
+/// fresh provenance-tracked run, and the session's dataset and accuracy
+/// equal a re-encode of it, bit for bit. An unchanged write reports a cell
+/// patch with no affected rows on every session, re-encodes nothing, and
+/// leaves the memo cache as it was.
+#[test]
+fn unchanged_writes_match_fresh_runs_and_leave_the_memo_cache_alone() {
+    const FIXES: usize = 64;
+    let s = HiringScenario::generate(120, 71);
+    let knn = KnnClassifier::new(3);
+    let valid = {
+        let vs = HiringScenario::generate(50, 72);
+        let mut fp = FeaturePipeline::hiring(8);
+        fp.fit_run(&hiring_inputs(&vs), false).unwrap().dataset
+    };
+    let mut truth_fp = FeaturePipeline::hiring(8);
+    truth_fp.fit_run(&hiring_inputs(&s), false).unwrap();
+    let (plan, root) = (truth_fp.plan.clone(), truth_fp.root);
+    let mut session = IncrementalDebugSession::build(
+        knn.clone(),
+        FeaturePipeline::hiring(8),
+        &hiring_inputs(&s),
+        valid.clone(),
+    )
+    .unwrap();
+    let mut threaded: Vec<(usize, PipelineSession)> = [2usize, 4, 7]
+        .into_iter()
+        .map(|t| {
+            let executor = Executor::new().with_threads(t);
+            let ps = PipelineSession::build(&executor, &plan, root, &hiring_inputs(&s)).unwrap();
+            (t, ps)
+        })
+        .collect();
+    let mut rng = seeded(0x5a3e_0f1c);
+    let mut unchanged = 0;
+    for step in 0..FIXES {
+        // Memoize a few coalitions so an eviction would show.
+        let n = session.dataset().len();
+        for start in 0..3 {
+            let coalition: Vec<usize> = (start..n).step_by(3).collect();
+            coalition_utility(
+                &knn,
+                session.dataset(),
+                &valid,
+                &coalition,
+                Some(session.memo()),
+            )
+            .unwrap();
+        }
+        let memo_before = session.memo().len();
+        let (_, _, reencoded_before) = session.stats();
+        let (delta, same) = maybe_unchanged_fix(&mut rng, session.session());
+        let report = session.apply_fix(&delta).unwrap();
+        let at = format!("step={step} {delta:?}");
+        for (_, ps) in &mut threaded {
+            let out = ps.apply(&delta).unwrap();
+            assert_eq!(out.path, report.path, "{at}");
+            assert_eq!(out.affected_rows, report.affected_rows, "{at}");
+        }
+        if same {
+            unchanged += 1;
+            assert_eq!(report.path, DeltaPath::CellPatch, "{at}");
+            assert!(report.affected_rows.is_empty(), "{at}");
+            assert_eq!(report.cache_evictions, 0, "{at}");
+            assert_eq!(session.memo().len(), memo_before, "{at}: memo cache");
+            assert_eq!(session.stats().2, reencoded_before, "{at}: re-encoded");
+        }
+        // Real writes never count as unchanged.
+        assert_eq!(session.session().stats().unchanged, unchanged, "{at}");
+        let views =
+            std::iter::once((1, session.session())).chain(threaded.iter().map(|(t, ps)| (*t, ps)));
+        for (threads, ps) in views {
+            let mutated: Vec<(&str, &Table)> = ps
+                .source_names()
+                .iter()
+                .map(|n| (n.as_str(), ps.input(n).unwrap()))
+                .collect();
+            let fresh = Executor::new()
+                .with_threads(threads)
+                .with_provenance(true)
+                .run(&plan, root, &mutated)
+                .unwrap();
+            let at = format!("threads={threads} {at}");
+            assert_eq!(ps.table(), &fresh.table, "{at}: table");
+            assert_eq!(Some(ps.lineage()), fresh.provenance, "{at}: lineage");
+            if threads > 1 {
+                continue;
+            }
+            let rows: Vec<usize> = (0..fresh.table.n_rows()).collect();
+            let (x, y) = truth_fp.encode_rows(&fresh.table, &rows).unwrap();
+            let ds = session.dataset();
+            assert_eq!(ds.y, y, "{at}: labels");
+            for r in rows {
+                for (a, b) in ds.x.row(r).iter().zip(x.row(r)) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{at}: row {r}");
+                }
+            }
+            let mut model = knn.clone();
+            model
+                .fit(&Dataset::new(x, y, ds.n_classes).unwrap())
+                .unwrap();
+            let want = model.accuracy(&valid);
+            assert_eq!(report.accuracy.to_bits(), want.to_bits(), "{at}: accuracy");
+        }
+    }
+    let stats = session.session().stats();
+    assert_eq!(stats.unchanged, unchanged);
+    assert!(
+        unchanged >= 16 && FIXES - unchanged >= 24 && stats.reruns >= 4,
+        "{stats:?}"
+    );
+    for (_, ps) in &threaded {
+        assert_eq!(ps.stats(), stats);
+    }
 }
 
 fn blob_workload() -> (Dataset, Dataset, LabelOracle) {
